@@ -142,24 +142,28 @@ def verification_report(group: FiniteGroup) -> dict:
     }
 
 
-def family_properties_hold(report: dict) -> bool:
-    """The exit code predicate, computed from report content alone."""
+def failed_family_properties(report: dict) -> list[str]:
+    """Names of the exit-code predicates that fail, from report content alone.
+
+    An empty list means the parameters give a genuine counterexample.
+    """
     struct = report["structure"]
     cz = struct["centralizer_of_cr"]
-    return all(
-        (
-            all(row["abelian"] for row in report["sylow"]),
-            struct["metabelian"],
-            not struct["abelian"],
-            struct["derived_length"] == 2,
-            all(not row["normal"] for row in report["sylow"]),
-            report["factorizations"] == [],
-            report["a_prime"]["value"] is False,
-            cz["order"] == cz["expected_order"],
-            cz["matches_coordinate_subgroup"] is True,
-            report["steinitz"]["all_checks_pass"] is True,
-        )
-    )
+    checks = {
+        "sylow_abelian": all(row["abelian"] for row in report["sylow"]),
+        "metabelian": struct["metabelian"],
+        "nonabelian": not struct["abelian"],
+        "derived_length_2": struct["derived_length"] == 2,
+        "no_normal_sylow": all(not row["normal"] for row in report["sylow"]),
+        "no_direct_factorization": report["factorizations"] == [],
+        "outside_inductive_class": report["a_prime"]["value"] is False,
+        "centralizer_of_cr_order": cz["order"] == cz["expected_order"],
+        "centralizer_of_cr_is_coordinates": (
+            cz["matches_coordinate_subgroup"] is True
+        ),
+        "steinitz_checks_pass": report["steinitz"]["all_checks_pass"] is True,
+    }
+    return [name for name, ok in checks.items() if not ok]
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +369,11 @@ def cmd_verify(ns: argparse.Namespace) -> int:
         _fail(str(exc))
         return EXIT_RESOURCE
     _emit(render_report(report, ns.json), ns.out)
-    return EXIT_OK if family_properties_hold(report) else EXIT_PROPERTY_FAILED
+    failed = failed_family_properties(report)
+    if failed:
+        _fail("failed properties: " + ", ".join(failed))
+        return EXIT_PROPERTY_FAILED
+    return EXIT_OK
 
 
 def cmd_search(ns: argparse.Namespace) -> int:

@@ -154,15 +154,18 @@ class FamilyParams:
             raise BadParams(f"primes {self.p}, {self.q}, {self.r} must be distinct")
         if self.a < 1 or self.b < 1:
             raise BadParams("exponents a and b must be positive")
+        # Residues only: a and b are unbounded here, so p^a may be huge.
         qr = self.q * self.r
-        if (self.p**self.a - 1) % qr:
+        rem = (pow(self.p, self.a, qr) - 1) % qr
+        if rem:
             raise BadParams(
-                f"{qr} does not divide {self.p}^{self.a} - 1 = {self.p**self.a - 1}"
+                f"{qr} does not divide {self.p}^{self.a} - 1 = {rem} mod {qr}"
             )
         pr = self.p * self.r
-        if (self.q**self.b - 1) % pr:
+        rem = (pow(self.q, self.b, pr) - 1) % pr
+        if rem:
             raise BadParams(
-                f"{pr} does not divide {self.q}^{self.b} - 1 = {self.q**self.b - 1}"
+                f"{pr} does not divide {self.q}^{self.b} - 1 = {rem} mod {pr}"
             )
 
     def order(self) -> int:
@@ -203,9 +206,11 @@ def build_family_group(
     attributes so coordinate-level reports can find the pieces.
     """
     params.validate()
-    if params.order() > cap:
+    # p, q >= 2: an exponent past the cap's bit length is over the cap.
+    if max(params.a, params.b) > cap.bit_length() or params.order() > cap:
         raise SizeCapExceeded(
-            f"family order {params.order()} exceeds the cap {cap}"
+            f"family order {params.p}^{params.a + 1} * {params.q}^{params.b + 1}"
+            f" * {params.r} exceeds the cap {cap}"
         )
     p, q, r, a, b = params.p, params.q, params.r, params.a, params.b
     f1 = make_field(p, a, cap)

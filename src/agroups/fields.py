@@ -181,8 +181,9 @@ def make_field(p: int, a: int, cap: int = DEFAULT_FIELD_CAP) -> FieldSpec:
         raise NonPrime(f"p = {p} is not prime")
     if a < 1:
         raise BadParams(f"degree a = {a} must be positive")
-    if p**a > cap:
-        raise SizeCapExceeded(f"field order {p**a} exceeds the cap {cap}")
+    # p >= 2: a past the cap's bit length is over the cap, before p**a.
+    if a > cap.bit_length() or p**a > cap:
+        raise SizeCapExceeded(f"field order {p}^{a} exceeds the cap {cap}")
     for code in range(p**a):
         modulus = _decode_poly(code, a, p) + (1,)
         if _is_irreducible(modulus, p):

@@ -273,15 +273,8 @@ class FiniteGroup:
 
     # -- enumeration helpers ---------------------------------------------
 
-    def ids(self) -> range:
-        return range(self.order)
-
     def elements(self) -> Iterator[GroupElement]:
         return (self.element(i) for i in range(self.order))
-
-    def conjugate(self, g: int, x: int) -> int:
-        """g x g^-1."""
-        return self.compose(self.compose(g, x), self.invert(g))
 
     def element_order(self, i: int) -> int:
         comp = self.compose
@@ -541,7 +534,10 @@ class FiniteGroup:
         repeatedly adjoin the lowest-id ell-element of the normalizer
         that is still outside; each step multiplies the order by at
         least ell, and normalizer ell-elements keep the extension an
-        ell-group.
+        ell-group.  The normalizer is never built: ids are scanned in
+        ascending order and the first ell-element outside P that
+        conjugates every generator of P into P is taken, which is the
+        same element.
         """
         if ell in self._sylows:
             return self._sylows[ell]
@@ -557,12 +553,16 @@ class FiniteGroup:
             if o > best and is_prime_power_of(o, ell):
                 best = o
                 seed = i
+        comp = self.compose
         p = self.closure((seed,))
         while p.order < target:
-            norm = self.normalizer(p)
+            inside = p.idset
             ext = -1
-            for y in norm.ids:
-                if y not in p.idset and is_prime_power_of(orders[y], ell):
+            for y in range(self.order):
+                if y in inside or not is_prime_power_of(orders[y], ell):
+                    continue
+                yi = self.invert(y)
+                if all(comp(comp(y, s), yi) in inside for s in p.gens):
                     ext = y
                     break
             if ext < 0:
@@ -665,9 +665,6 @@ class FieldAddGroup(FiniteGroup):
         if len(e.coeffs) != f.a or any(not 0 <= c < f.p for c in e.coeffs):
             raise UnknownElement(f"{e!r} is not reduced for GF({f.p}^{f.a})")
         return self._id_by_code[f.encode(e.coeffs)]
-
-    def id_of_coeffs(self, coeffs: Sequence[int]) -> int:
-        return self._id_by_code[self.field.encode(self.field.element(coeffs))]
 
     def scalar_row(self, unit) -> list[int]:
         """Permutation of ids induced by multiplication by a fixed unit."""

@@ -8,7 +8,10 @@ into conjugacy classes of two kinds:
 - kind "a": the class projects onto order-ell elements of the
   complement.  Certified by the identity N(<t>) = C(t) for a class
   representative t; both sides are conjugation-equivariant, so
-  checking one representative settles the whole class.
+  checking one representative settles the whole class.  The identity
+  is decided without building either subgroup: N(<t>)/C(t) embeds in
+  Aut<t> (orbit-stabiliser), so N(<t>) = C(t) exactly when the class
+  of t meets <t> only in t, an O(ell) test on the cached class.
 - kind "b": the class lies inside the kernel.
 
 Each class carries the rational weight (ell - 1) |G| / (2 ell).  At
@@ -22,13 +25,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .constructions import (
     _family_parts,
     gamma_coordinate_ids,
     kernel_coordinate_ids,
 )
-from .errors import BadParams, PrimeDoesNotDivide
+from .errors import BadParams, DecompositionInvariantFailed, PrimeDoesNotDivide
 from .groups import FiniteGroup, Subgroup
 from .numtheory import is_prime, prime_divisors
 
@@ -52,19 +56,26 @@ def family_projection(group: FiniteGroup) -> FamilyProjection:
     """Extract and verify the kernel/complement splitting.
 
     Raises NotFamilyGroup when the group lacks construction metadata.
-    Internal consistency failures raise AssertionError: the coordinate
-    data comes from the builder, so a mismatch is a bug, not bad input.
+    Every structural identity is recorded rather than trusted; a failed
+    one raises DecompositionInvariantFailed naming it.  The coordinate
+    data comes from build_family_group, so a failure is a bug, not bad input.
     """
     parts = _family_parts(group)
     params = group.family_params
     kernel = group._subgroup_from_ids(kernel_coordinate_ids(group))
-    assert kernel.order == params.p**params.a * params.q**params.b
-    assert kernel.is_abelian()
-    assert kernel.is_normal()
     complement = group._subgroup_from_ids(gamma_coordinate_ids(group))
-    assert complement.order == params.p * params.q * params.r
-    assert len(kernel.idset & complement.idset) == 1
-    assert kernel.order * complement.order == group.order
+    record = {
+        "kernel_order": kernel.order == params.p**params.a * params.q**params.b,
+        "kernel_abelian": kernel.is_abelian(),
+        "kernel_normal": kernel.is_normal(),
+        "complement_order": complement.order == params.p * params.q * params.r,
+        "kernel_meets_complement_trivially": (
+            len(kernel.idset & complement.idset) == 1
+        ),
+        "kernel_times_complement_covers_group": (
+            kernel.order * complement.order == group.order
+        ),
+    }
 
     inner, h1, h2 = parts.inner, parts.h1, parts.h2
     retract = []
@@ -77,18 +88,25 @@ def family_projection(group: FiniteGroup) -> FamilyProjection:
         retract.append(group.id_of_pair(zeroed, t))
     pi = tuple(retract)
 
-    assert pi[0] == 0
-    assert set(pi) == complement.idset
-    assert sum(1 for v in pi if v == 0) == kernel.order
-    assert all(pi[i] == i for i in complement.ids)
+    record["retraction_fixes_identity"] = pi[0] == 0
+    record["retraction_image_is_complement"] = set(pi) == complement.idset
+    record["retraction_kernel_size"] = (
+        sum(1 for v in pi if v == 0) == kernel.order
+    )
+    record["retraction_fixes_complement"] = all(pi[i] == i for i in complement.ids)
     # pi(g x) = pi(g) pi(x) for generators g and arbitrary x extends to
     # all g: the set of g satisfying the law against every x is closed
     # under products.
     comp = group.compose
-    for g in group.gens:
-        pg = pi[g]
-        assert all(
-            pi[comp(g, x)] == comp(pg, pi[x]) for x in range(group.order)
+    record["retraction_is_homomorphism"] = all(
+        pi[comp(g, x)] == comp(pi[g], pi[x])
+        for g in group.gens
+        for x in range(group.order)
+    )
+    bad = [name for name, ok in record.items() if not ok]
+    if bad:
+        raise DecompositionInvariantFailed(
+            "projection checks failed: " + ", ".join(bad)
         )
     return FamilyProjection(
         group=group, kernel=kernel, complement=complement, to_complement=pi
@@ -127,6 +145,17 @@ def class_weight(ell: int, order: int) -> Fraction:
     return Fraction((ell - 1) * (order // ell), 2)
 
 
+def class_meets_cycle_only_at_rep(group: FiniteGroup, cls: Sequence[int]) -> bool:
+    """N(<t>) = C(t) for the class representative t = cls[0], without a scan.
+
+    g normalizes <t> exactly when g t g^-1, a member of the class, lies
+    in <t>; any member of <t> in the class other than t is such a
+    conjugate by some g in N(<t>) outside C(t).
+    """
+    members = set(cls)
+    return sum(1 for x in group.closure([cls[0]]).ids if x in members) == 1
+
+
 def order_ell_classification(
     group: FiniteGroup, ell: int, projection: FamilyProjection | None = None
 ) -> list[SteinitzRow]:
@@ -153,17 +182,15 @@ def order_ell_classification(
             continue
         image_order = orders[projection.to_complement[rep]]
         if image_order == ell:
-            cyc = group.closure([rep])
-            same = (
-                group.normalizer(cyc).ids == group.centralizer([rep]).ids
-            )
             rows.append(
                 SteinitzRow(
                     ell=ell,
                     class_rep=rep,
                     class_size=len(cls),
                     case="a",
-                    normalizer_equals_centralizer=same,
+                    normalizer_equals_centralizer=class_meets_cycle_only_at_rep(
+                        group, cls
+                    ),
                     in_kernel=None,
                     exponent=weight,
                     absorbed=True,

@@ -1,9 +1,12 @@
 import json
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
+from agroups import cli
 from agroups.cli import main, parse_group_spec
 from agroups.errors import BadParams
 from agroups.groups import DEFAULT_ELEMENT_CAP
@@ -46,6 +49,43 @@ def test_verify_bad_params(capsys):
 def test_verify_cap_exceeded(capsys):
     assert main(["verify", "5,2,3,2,4", "--cap", "100"]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("verify", "3,2,5,100000000,4"),
+        ("decompose", "field(3,100000000)"),
+        ("decompose", "family(3,2,5,100000000,4)"),
+    ],
+)
+def test_huge_exponent_hits_cap_fast(args):
+    start = time.perf_counter()
+    proc = run_cli(*args)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 3
+    assert b"exceeds the cap" in proc.stderr
+    assert elapsed < 1.0
+
+
+def test_huge_exponent_bad_divisibility_is_bad_input(capsys):
+    assert main(["verify", "3,2,5,100000001,4"]) == 1
+    assert "10 does not divide 3^100000001 - 1 = 2 mod 10" in capsys.readouterr().err
+
+
+def test_verify_exit_2_names_failed_properties(capsys, monkeypatch):
+    golden = Path(__file__).parent / "golden" / "verify_5_2_3_2_4.json"
+    report = json.loads(golden.read_text())
+    report["a_prime"]["value"] = True
+    report["structure"]["centralizer_of_cr"]["order"] = 60
+    monkeypatch.setattr(cli, "verification_report", lambda group: report)
+    assert main(["verify", "5,2,3,2,4", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == json.dumps(report, indent=2) + "\n"
+    assert captured.err == (
+        "error: failed properties: outside_inductive_class,"
+        " centralizer_of_cr_order\n"
+    )
 
 
 def test_verify_fixture1_json(capsys, tmp_path):

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -44,6 +46,37 @@ def test_projection_is_retraction_homomorphism(family1):
     assert [i for i in range(family1.order) if pi[i] == 0] == list(
         proj.kernel.ids
     )
+
+
+CORRUPT_PROJECTION = """
+import sys
+from agroups import DecompositionInvariantFailed, FamilyParams, build_family_group
+from agroups import constructions, steinitz
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+group = build_family_group(FamilyParams(5, 2, 3, 2, 4))
+# Hand the projection the complement as its kernel: closed, but wrong.
+steinitz.kernel_coordinate_ids = constructions.gamma_coordinate_ids
+try:
+    steinitz.family_projection(group)
+except DecompositionInvariantFailed as exc:
+    print(exc)
+else:
+    sys.exit("corrupted projection passed")
+"""
+
+
+def test_projection_checks_survive_optimize():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", CORRUPT_PROJECTION],
+        capture_output=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    out = proc.stdout.decode()
+    assert out.startswith("projection checks failed: kernel_order,")
+    assert "kernel_times_complement_covers_group" in out
 
 
 def test_sylow_exponent_reports(family1, family2):
