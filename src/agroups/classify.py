@@ -27,7 +27,7 @@ from .errors import (
     NotAGroup,
     TooManyPrimes,
 )
-from .groups import DEFAULT_LATTICE_CAP, FiniteGroup, QuotientGroup, Subgroup
+from .groups import FiniteGroup, Subgroup
 from .numtheory import p_part, prime_divisors, prime_factors
 
 
@@ -119,15 +119,13 @@ def normal_hall(group: FiniteGroup, pi: frozenset[int] | set[int]) -> Subgroup |
     return sub
 
 
-def direct_factor_pairs(
-    group: FiniteGroup, lattice_cap: int = DEFAULT_LATTICE_CAP
-) -> list[tuple[Subgroup, Subgroup]]:
+def direct_factor_pairs(group: FiniteGroup) -> list[tuple[Subgroup, Subgroup]]:
     """Unordered pairs of proper normal subgroups exhibiting G = N1 x N2.
 
     Trivial intersection makes the two factors commute elementwise, so
     matching orders are enough to force an internal direct product.
     """
-    normals = group.normal_subgroups(lattice_cap)
+    normals = group.normal_subgroups()
     pairs = []
     for i, n1 in enumerate(normals):
         if n1.order in (1, group.order):
@@ -160,9 +158,7 @@ def _proper_prime_subsets(order: int) -> list[tuple[int, ...]]:
     return out
 
 
-def is_a_prime_group(
-    group: FiniteGroup, lattice_cap: int = DEFAULT_LATTICE_CAP
-) -> RecognizerResult:
+def is_a_prime_group(group: FiniteGroup) -> RecognizerResult:
     """Decide membership in the three-rule inductive class, with a trace.
 
     The trace records, per group visited, which rule certified
@@ -197,7 +193,7 @@ def is_a_prime_group(
             if decide(g.quotient(hall), depth + 2):
                 trace.append(f"{pad}  order {n}: in the class by rule 2")
                 return True
-        pairs = direct_factor_pairs(g, lattice_cap)
+        pairs = direct_factor_pairs(g)
         if not pairs:
             trace.append(f"{pad}  no direct factorizations")
         for n1, n2 in pairs:

@@ -22,15 +22,11 @@ from .classify import (
 )
 from .constructions import (
     FamilyParams,
-    additive_group,
     build_family_group,
     cr_coordinate_subgroup,
-    cyclic,
-    direct_product,
     gamma_coordinate_ids,
     power_action,
     search_family,
-    semidirect_product,
 )
 from .errors import (
     BadParams,
@@ -44,7 +40,14 @@ from .errors import (
     WrongOrder,
 )
 from .fields import element_of_order, make_field
-from .groups import DEFAULT_ELEMENT_CAP, FiniteGroup
+from .groups import (
+    DEFAULT_ELEMENT_CAP,
+    CyclicGroup,
+    DirectProductGroup,
+    FieldAddGroup,
+    FiniteGroup,
+    SemidirectProductGroup,
+)
 from .numtheory import multiplicative_order
 from .steinitz import steinitz_report
 
@@ -54,6 +57,7 @@ EXIT_PROPERTY_FAILED = 2
 EXIT_RESOURCE = 3
 
 _INPUT_ERRORS = (BadParams, OrderDoesNotDivide, WrongOrder, MixedFields)
+_PROPERTY_ERRORS = (NotAGroup, TooManyPrimes, DecompositionInvariantFailed)
 _CAP_ERRORS = (SizeCapExceeded, LatticeCapExceeded)
 
 GROUP_SPEC_GRAMMAR = """\
@@ -237,6 +241,11 @@ def _fail(message: str) -> None:
 # group spec parsing for the decompose subcommand
 
 _TOKEN = re.compile(r"\s*([a-z_]+|\d+|[(),])")
+# No enumerable group comes near 10^24 elements, and below that bound
+# is_prime is exact and fast.  Real specs nest a few levels; the depth
+# bound keeps the recursive parser far from the interpreter's limit.
+_MAX_SPEC_DIGITS = 24
+_MAX_SPEC_DEPTH = 50
 
 
 def _tokenize(text: str) -> list[str]:
@@ -252,11 +261,17 @@ def _tokenize(text: str) -> list[str]:
     return out
 
 
-def _parse_node(tokens: list[str], pos: int):
+def _parse_node(tokens: list[str], pos: int, depth: int = 0):
+    if depth > _MAX_SPEC_DEPTH:
+        raise BadParams(f"group spec nests deeper than {_MAX_SPEC_DEPTH} levels")
     if pos >= len(tokens):
         raise BadParams("group spec ended unexpectedly")
     tok = tokens[pos]
     if tok.isdigit():
+        if len(tok) > _MAX_SPEC_DIGITS:
+            raise BadParams(
+                f"integer in group spec has more than {_MAX_SPEC_DIGITS} digits"
+            )
         return int(tok), pos + 1
     if tok in "(),":
         raise BadParams(f"unexpected {tok!r} in group spec")
@@ -265,7 +280,7 @@ def _parse_node(tokens: list[str], pos: int):
     pos += 2
     args = []
     while True:
-        node, pos = _parse_node(tokens, pos)
+        node, pos = _parse_node(tokens, pos, depth + 1)
         args.append(node)
         if pos >= len(tokens):
             raise BadParams("group spec ended before ')'")
@@ -296,14 +311,16 @@ def _realize(node, cap: int) -> FiniteGroup:
     name, args = node
     if name == "cyclic":
         (n,) = _want_ints(name, args, 1)
-        return cyclic(n, cap)
+        return CyclicGroup(n, cap)
     if name == "field":
         p, a = _want_ints(name, args, 2)
-        return additive_group(make_field(p, a, cap), cap)
+        return FieldAddGroup(make_field(p, a, cap), cap)
     if name == "product":
         if len(args) != 2:
             raise BadParams("product takes exactly 2 group arguments")
-        return direct_product(_realize(args[0], cap), _realize(args[1], cap), cap)
+        return DirectProductGroup(
+            _realize(args[0], cap), _realize(args[1], cap), cap
+        )
     if name == "family":
         p, q, r, a, b = _want_ints(name, args, 5)
         return build_family_group(FamilyParams(p, q, r, a, b), cap)
@@ -326,12 +343,12 @@ def _realize(node, cap: int) -> FiniteGroup:
         if m < 1 or k < 1 or k % m:
             raise BadParams(f"scalar order {m} must divide the acting order {k}")
         base = _realize(base_node, cap)
-        acting = cyclic(k, cap)
+        acting = CyclicGroup(k, cap)
         if base_node[0] == "field":
             unit = element_of_order(base.field, m)
         else:
             unit = _smallest_unit_of_order(base.n, m) if base.n > 1 else 0
-        return semidirect_product(
+        return SemidirectProductGroup(
             base, acting, power_action(base, acting, unit), cap
         )
     raise BadParams(f"unknown constructor {name!r} in group spec")
@@ -354,20 +371,8 @@ def parse_group_spec(text: str, cap: int) -> FiniteGroup:
 
 
 def cmd_verify(ns: argparse.Namespace) -> int:
-    try:
-        params = FamilyParams.parse(ns.params)
-        group = build_family_group(params, ns.cap)
-    except _INPUT_ERRORS as exc:
-        _fail(str(exc))
-        return EXIT_BAD_INPUT
-    except _CAP_ERRORS as exc:
-        _fail(str(exc))
-        return EXIT_RESOURCE
-    try:
-        report = verification_report(group)
-    except _CAP_ERRORS as exc:
-        _fail(str(exc))
-        return EXIT_RESOURCE
+    group = build_family_group(FamilyParams.parse(ns.params), ns.cap)
+    report = verification_report(group)
     _emit(render_report(report, ns.json), ns.out)
     failed = failed_family_properties(report)
     if failed:
@@ -377,11 +382,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
 
 
 def cmd_search(ns: argparse.Namespace) -> int:
-    try:
-        rows = search_family(ns.max_order)
-    except BadParams as exc:
-        _fail(str(exc))
-        return EXIT_BAD_INPUT
+    rows = search_family(ns.max_order)
     if ns.json:
         report = {
             "max_order": ns.max_order,
@@ -398,22 +399,8 @@ def cmd_search(ns: argparse.Namespace) -> int:
 
 
 def cmd_decompose(ns: argparse.Namespace) -> int:
-    try:
-        group = parse_group_spec(ns.spec, ns.cap)
-    except _INPUT_ERRORS as exc:
-        _fail(str(exc))
-        return EXIT_BAD_INPUT
-    except _CAP_ERRORS as exc:
-        _fail(str(exc))
-        return EXIT_RESOURCE
-    try:
-        dec = two_prime_decompose(group)
-    except (NotAGroup, TooManyPrimes, DecompositionInvariantFailed) as exc:
-        _fail(f"{type(exc).__name__}: {exc}")
-        return EXIT_PROPERTY_FAILED
-    except _CAP_ERRORS as exc:
-        _fail(str(exc))
-        return EXIT_RESOURCE
+    group = parse_group_spec(ns.spec, ns.cap)
+    dec = two_prime_decompose(group)
     report = {
         "spec": ns.spec.strip(),
         "order": group.order,
@@ -492,4 +479,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else EXIT_BAD_INPUT
         return EXIT_OK if code == 0 else EXIT_BAD_INPUT
-    return ns.func(ns)
+    try:
+        return ns.func(ns)
+    except _INPUT_ERRORS as exc:
+        _fail(str(exc))
+        return EXIT_BAD_INPUT
+    except _PROPERTY_ERRORS as exc:
+        _fail(f"{type(exc).__name__}: {exc}")
+        return EXIT_PROPERTY_FAILED
+    except _CAP_ERRORS as exc:
+        _fail(str(exc))
+        return EXIT_RESOURCE

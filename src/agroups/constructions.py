@@ -1,6 +1,6 @@
-"""Group builders: cyclic and field-additive leaves, products, semidirect
-products with scalar actions, the counterexample family, and the search
-for small family parameters.
+"""Group builders: scalar and power actions, field semidirect products, the
+counterexample family with its coordinate ids, and the search for small
+family parameters.
 
 The family construction takes pairwise-distinct primes p, q, r and
 exponents a, b with qr | p^a - 1 and pr | q^b - 1, and assembles
@@ -15,8 +15,9 @@ The resulting group has order p^(a+1) * q^(b+1) * r.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
-from .errors import BadParams, NonPrime, SizeCapExceeded, WrongOrder
+from .errors import BadParams, NonPrime, NotFamilyGroup, SizeCapExceeded, WrongOrder
 from .fields import FieldElement, FieldSpec, element_of_order, make_field
 from .groups import (
     Action,
@@ -31,34 +32,6 @@ from .groups import (
 from .numtheory import is_prime, multiplicative_order, primes_up_to
 
 
-def cyclic(n: int, cap: int = DEFAULT_ELEMENT_CAP) -> CyclicGroup:
-    return CyclicGroup(n, cap)
-
-
-def additive_group(field: FieldSpec, cap: int = DEFAULT_ELEMENT_CAP) -> FieldAddGroup:
-    return FieldAddGroup(field, cap)
-
-
-def direct_product(
-    left: FiniteGroup, right: FiniteGroup, cap: int = DEFAULT_ELEMENT_CAP
-) -> DirectProductGroup:
-    return DirectProductGroup(left, right, cap)
-
-
-def semidirect_product(
-    kernel: FiniteGroup,
-    acting: FiniteGroup,
-    action: Action,
-    cap: int = DEFAULT_ELEMENT_CAP,
-) -> SemidirectProductGroup:
-    return SemidirectProductGroup(kernel, acting, action, cap)
-
-
-def make_action(kernel: FiniteGroup, acting: FiniteGroup, fn) -> Action:
-    """Tabulate fn(acting-id, kernel-id) -> kernel-id and verify the laws."""
-    return Action.tabulate(kernel, acting, fn)
-
-
 def power_action(
     kernel: FieldAddGroup | CyclicGroup, acting: CyclicGroup, unit
 ) -> Action:
@@ -68,35 +41,25 @@ def power_action(
     exponent map is well defined on residues.  Field kernels take a
     field-element unit; cyclic kernels take an integer unit coprime to n.
     """
-    k = acting.order
     if isinstance(kernel, FieldAddGroup):
         f = kernel.field
         u = f.element(unit)
         d = f.multiplicative_order(u)
-        if k % d:
-            raise WrongOrder(
-                f"unit order {d} does not divide the acting order {k}"
-            )
-        rows = []
-        power = f.one()
-        for _ in range(k):
-            rows.append(kernel.scalar_row(power))
-            power = f.mul(power, u)
-        return Action(kernel, acting, rows)
-    if isinstance(kernel, CyclicGroup):
+
+        def row(e: int) -> list[int]:
+            return kernel.scalar_row(f.pow(u, e))
+    elif isinstance(kernel, CyclicGroup):
         n = kernel.n
-        d = multiplicative_order(unit, n) if n > 1 else 1
-        if k % d:
-            raise WrongOrder(
-                f"unit order {d} does not divide the acting order {k}"
-            )
-        rows = []
-        power = 1 % n if n > 1 else 0
-        for _ in range(k):
-            rows.append([(power * h) % n for h in range(n)] if n > 1 else [0])
-            power = (power * unit) % n
-        return Action(kernel, acting, rows)
-    raise BadParams("power actions need a cyclic or field-additive kernel")
+        d = multiplicative_order(unit, n)
+
+        def row(e: int) -> list[int]:
+            return [pow(unit, e, n) * h % n for h in range(n)]
+    else:
+        raise BadParams("power actions need a cyclic or field-additive kernel")
+    k = acting.order
+    if k % d:
+        raise WrongOrder(f"unit order {d} does not divide the acting order {k}")
+    return Action(kernel, acting, [row(e) for e in range(k)])
 
 
 def scalar_action(
@@ -183,7 +146,12 @@ class FamilyParams:
 
 @dataclass
 class FamilyParts:
-    """Component groups of a family construction, kept for coordinate access."""
+    """Component groups of a family construction, kept for coordinate access.
+
+    An inner id (an element of H1 x H2) has four coordinates (v1, c1, v2, c2):
+    the GF(p^a) vector id, the C_q residue, the GF(q^b) vector id and the
+    C_p residue.  A family element is an inner id paired with a C_r residue t.
+    """
 
     field1: FieldSpec
     field2: FieldSpec
@@ -195,6 +163,15 @@ class FamilyParts:
     h1: SemidirectProductGroup
     h2: SemidirectProductGroup
     inner: DirectProductGroup
+
+    def inner_id(self, v1: int, c1: int, v2: int, c2: int) -> int:
+        return self.inner.id_of_pair(
+            self.h1.id_of_pair(v1, c1), self.h2.id_of_pair(v2, c2)
+        )
+
+    def coordinates(self, i: int) -> tuple[int, int, int, int]:
+        x, y = self.inner.pair_of(i)
+        return self.h1.pair_of(x) + self.h2.pair_of(y)
 
 
 def build_family_group(
@@ -213,95 +190,79 @@ def build_family_group(
             f" * {params.r} exceeds the cap {cap}"
         )
     p, q, r, a, b = params.p, params.q, params.r, params.a, params.b
-    f1 = make_field(p, a, cap)
-    f2 = make_field(q, b, cap)
-    add1 = FieldAddGroup(f1, cap)
-    add2 = FieldAddGroup(f2, cap)
-    cq = CyclicGroup(q, cap)
-    cp = CyclicGroup(p, cap)
-    h1 = SemidirectProductGroup(
-        add1, cq, scalar_action(add1, cq, element_of_order(f1, q)), cap
-    )
-    h2 = SemidirectProductGroup(
-        add2, cp, scalar_action(add2, cp, element_of_order(f2, p)), cap
-    )
-    inner = DirectProductGroup(h1, h2, cap)
+    h1 = field_semidirect(p, a, q, cap)
+    h2 = field_semidirect(q, b, p, cap)
     cr = CyclicGroup(r, cap)
-
-    rho1 = element_of_order(f1, r)
-    rho2 = element_of_order(f2, r)
-    rows1 = []
-    rows2 = []
-    u1 = f1.one()
-    u2 = f2.one()
-    for _ in range(r):
-        rows1.append(add1.scalar_row(u1))
-        rows2.append(add2.scalar_row(u2))
-        u1 = f1.mul(u1, rho1)
-        u2 = f2.mul(u2, rho2)
-
-    h1_pair = h1.id_of_pair
-    h2_pair = h2.id_of_pair
-    inner_pair = inner.id_of_pair
-    inner_of = inner.pair_of
-    h1_of = h1.pair_of
-    h2_of = h2.pair_of
+    parts = FamilyParts(
+        field1=h1.left.field, field2=h2.left.field, add1=h1.left, add2=h2.left,
+        cq=h1.right, cp=h2.right, cr=cr, h1=h1, h2=h2,
+        inner=DirectProductGroup(h1, h2, cap),
+    )
+    rows1 = scalar_action(parts.add1, cr, element_of_order(parts.field1, r)).rows
+    rows2 = scalar_action(parts.add2, cr, element_of_order(parts.field2, r)).rows
 
     def rescale(t: int, d: int) -> int:
-        x, y = inner_of(d)
-        v1, c1 = h1_of(x)
-        v2, c2 = h2_of(y)
-        return inner_pair(h1_pair(rows1[t][v1], c1), h2_pair(rows2[t][v2], c2))
+        v1, c1, v2, c2 = parts.coordinates(d)
+        return parts.inner_id(rows1[t][v1], c1, rows2[t][v2], c2)
 
     group = SemidirectProductGroup(
-        inner, cr, Action.tabulate(inner, cr, rescale), cap
+        parts.inner, cr, Action.tabulate(parts.inner, cr, rescale), cap
     )
     group.family_params = params
-    group.family_parts = FamilyParts(
-        field1=f1, field2=f2, add1=add1, add2=add2,
-        cq=cq, cp=cp, cr=cr, h1=h1, h2=h2, inner=inner,
-    )
+    group.family_parts = parts
     return group
 
 
 def _family_parts(group: FiniteGroup) -> FamilyParts:
-    from .errors import NotFamilyGroup
-
     parts = getattr(group, "family_parts", None)
     if parts is None:
         raise NotFamilyGroup("group was not built by the family constructor")
     return parts
 
 
+def _coordinate_ids(
+    group: SemidirectProductGroup, parts: FamilyParts, v1s, c1s, v2s, c2s, ts
+) -> tuple[int, ...]:
+    """Sorted ids of the elements with coordinates in the given ranges."""
+    return tuple(sorted(
+        group.id_of_pair(parts.inner_id(v1, c1, v2, c2), t)
+        for v1, c1, v2, c2, t in product(v1s, c1s, v2s, c2s, ts)
+    ))
+
+
 def cr_coordinate_ids(group: SemidirectProductGroup) -> tuple[int, ...]:
     """Ids of the acting C_r coordinate inside a family group."""
     parts = _family_parts(group)
-    return tuple(sorted(group.id_of_pair(0, t) for t in range(parts.cr.n)))
+    return _coordinate_ids(group, parts, (0,), (0,), (0,), (0,), range(parts.cr.n))
 
 
 def gamma_coordinate_ids(group: SemidirectProductGroup) -> tuple[int, ...]:
     """Ids of the C_q x C_p x C_r coordinate set (field parts zero)."""
     parts = _family_parts(group)
-    out = []
-    for cq in range(parts.cq.n):
-        x = parts.h1.id_of_pair(0, cq)
-        for cp in range(parts.cp.n):
-            d = parts.inner.id_of_pair(x, parts.h2.id_of_pair(0, cp))
-            for t in range(parts.cr.n):
-                out.append(group.id_of_pair(d, t))
-    return tuple(sorted(out))
+    return _coordinate_ids(
+        group, parts, (0,), range(parts.cq.n), (0,), range(parts.cp.n),
+        range(parts.cr.n),
+    )
 
 
 def kernel_coordinate_ids(group: SemidirectProductGroup) -> tuple[int, ...]:
     """Ids of the field-coordinate set (both cyclic coordinates zero)."""
     parts = _family_parts(group)
+    return _coordinate_ids(
+        group, parts, range(parts.add1.order), (0,), range(parts.add2.order),
+        (0,), (0,),
+    )
+
+
+def complement_retraction(group: SemidirectProductGroup) -> tuple[int, ...]:
+    """Id of each element's complement part: both field coordinates zeroed."""
+    parts = _family_parts(group)
     out = []
-    for v1 in range(parts.add1.order):
-        x = parts.h1.id_of_pair(v1, 0)
-        for v2 in range(parts.add2.order):
-            d = parts.inner.id_of_pair(x, parts.h2.id_of_pair(v2, 0))
-            out.append(group.id_of_pair(d, 0))
-    return tuple(sorted(out))
+    for i in range(group.order):
+        d, t = group.pair_of(i)
+        _, c1, _, c2 = parts.coordinates(d)
+        out.append(group.id_of_pair(parts.inner_id(0, c1, 0, c2), t))
+    return tuple(out)
 
 
 def cr_coordinate_subgroup(group: SemidirectProductGroup) -> Subgroup:

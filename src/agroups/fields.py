@@ -177,13 +177,14 @@ class FieldSpec:
 
 def make_field(p: int, a: int, cap: int = DEFAULT_FIELD_CAP) -> FieldSpec:
     """GF(p^a) with the first irreducible monic modulus in encoding order."""
-    if not is_prime(p):
-        raise NonPrime(f"p = {p} is not prime")
     if a < 1:
         raise BadParams(f"degree a = {a} must be positive")
-    # p >= 2: a past the cap's bit length is over the cap, before p**a.
-    if a > cap.bit_length() or p**a > cap:
+    # The cap comes before the primality test, whose cost grows with p.
+    # For p >= 2, an a past the cap's bit length is over the cap, before p**a.
+    if p >= 2 and (a > cap.bit_length() or p**a > cap):
         raise SizeCapExceeded(f"field order {p}^{a} exceeds the cap {cap}")
+    if not is_prime(p):
+        raise NonPrime(f"p = {p} is not prime")
     for code in range(p**a):
         modulus = _decode_poly(code, a, p) + (1,)
         if _is_irreducible(modulus, p):

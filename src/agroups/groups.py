@@ -47,7 +47,8 @@ from .fields import FieldSpec
 from .numtheory import is_prime, is_prime_power_of, p_part
 
 DEFAULT_ELEMENT_CAP = 10**6
-DEFAULT_LATTICE_CAP = 10**4
+# normal_subgroups raises LatticeCapExceeded past this many subgroups.
+LATTICE_CAP = 10**4
 
 # Below this order a dense composition table is cheap and pays for itself
 # in the scan-heavy algorithms.
@@ -77,6 +78,15 @@ class PairElement:
 
 
 GroupElement = CyclicElement | VectorElement | PairElement
+
+
+def _generators_commute(comp: Callable[[int, int], int], g: Sequence[int]) -> bool:
+    """Pairwise commuting generators force the whole (sub)group abelian."""
+    return all(
+        comp(g[i], g[j]) == comp(g[j], g[i])
+        for i in range(len(g))
+        for j in range(i + 1, len(g))
+    )
 
 
 class Subgroup:
@@ -117,14 +127,7 @@ class Subgroup:
         return f"Subgroup(order={self.order} of {self.group!r})"
 
     def is_abelian(self) -> bool:
-        """Pairwise commuting generators force the whole subgroup abelian."""
-        comp = self.group.compose
-        g = self.gens
-        return all(
-            comp(g[i], g[j]) == comp(g[j], g[i])
-            for i in range(len(g))
-            for j in range(i + 1, len(g))
-        )
+        return _generators_commute(self.group.compose, self.gens)
 
     def is_normal(self) -> bool:
         """Conjugate the generators by the ambient generators.
@@ -230,13 +233,11 @@ class FiniteGroup:
 
     def __init__(self, cap: int):
         self._cap = cap
-        self._table: list[list[int]] | None = None
         self._orders: list[int] | None = None
         self._classes: list[tuple[int, ...]] | None = None
         self._normals: list[Subgroup] | None = None
         self._sylows: dict[int, Subgroup] = {}
         self._whole: Subgroup | None = None
-        self._abelian: bool | None = None
 
     # -- primitive layer -------------------------------------------------
 
@@ -263,7 +264,6 @@ class FiniteGroup:
         if self.order <= _TABLE_LIMIT:
             base = self._compose_ids
             tab = [[base(i, j) for j in range(self.order)] for i in range(self.order)]
-            self._table = tab
             self.compose = lambda i, j, _t=tab: _t[i][j]  # type: ignore[assignment]
         else:
             self.compose = self._compose_ids  # type: ignore[assignment]
@@ -298,15 +298,7 @@ class FiniteGroup:
         return out
 
     def is_abelian(self) -> bool:
-        if self._abelian is None:
-            comp = self.compose
-            g = self.gens
-            self._abelian = all(
-                comp(g[i], g[j]) == comp(g[j], g[i])
-                for i in range(len(g))
-                for j in range(i + 1, len(g))
-            )
-        return self._abelian
+        return _generators_commute(self.compose, self.gens)
 
     # -- subgroup machinery ----------------------------------------------
 
@@ -440,9 +432,6 @@ class FiniteGroup:
                 return series
             series.append(nxt)
 
-    def is_solvable(self) -> bool:
-        return self.derived_series()[-1].order == 1
-
     def derived_length(self) -> int:
         return len(self.derived_series()) - 1
 
@@ -477,7 +466,7 @@ class FiniteGroup:
         self._classes = classes
         return classes
 
-    def normal_subgroups(self, cap: int = DEFAULT_LATTICE_CAP) -> list[Subgroup]:
+    def normal_subgroups(self) -> list[Subgroup]:
         """All normal subgroups, via class closures and pairwise joins.
 
         Every normal subgroup is a union of conjugacy classes and hence
@@ -494,9 +483,9 @@ class FiniteGroup:
             if s.ids not in keys:
                 keys.add(s.ids)
                 items.append(s)
-                if len(items) > cap:
+                if len(items) > LATTICE_CAP:
                     raise LatticeCapExceeded(
-                        f"normal lattice exceeds {cap} subgroups"
+                        f"normal lattice exceeds {LATTICE_CAP} subgroups"
                     )
 
         for cls in self.conjugacy_classes():
@@ -643,7 +632,6 @@ class FieldAddGroup(FiniteGroup):
             self._id_by_code[field.encode(v)] = i
         self.gens = tuple(idx[b] for b in basis)
         self._neg = [self._id_by_code[field.encode(field.neg(v))] for v in vecs]
-        self._p = field.p
         self._finish()
 
     def _compose_ids(self, i: int, j: int) -> int:

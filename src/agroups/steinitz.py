@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .constructions import (
-    _family_parts,
+    complement_retraction,
     gamma_coordinate_ids,
     kernel_coordinate_ids,
 )
@@ -60,10 +60,9 @@ def family_projection(group: FiniteGroup) -> FamilyProjection:
     one raises DecompositionInvariantFailed naming it.  The coordinate
     data comes from build_family_group, so a failure is a bug, not bad input.
     """
-    parts = _family_parts(group)
-    params = group.family_params
     kernel = group._subgroup_from_ids(kernel_coordinate_ids(group))
     complement = group._subgroup_from_ids(gamma_coordinate_ids(group))
+    params = group.family_params
     record = {
         "kernel_order": kernel.order == params.p**params.a * params.q**params.b,
         "kernel_abelian": kernel.is_abelian(),
@@ -76,17 +75,7 @@ def family_projection(group: FiniteGroup) -> FamilyProjection:
             kernel.order * complement.order == group.order
         ),
     }
-
-    inner, h1, h2 = parts.inner, parts.h1, parts.h2
-    retract = []
-    for i in range(group.order):
-        inner_id, t = group.pair_of(i)
-        a_id, b_id = inner.pair_of(inner_id)
-        cq = h1.pair_of(a_id)[1]
-        cp = h2.pair_of(b_id)[1]
-        zeroed = inner.id_of_pair(h1.id_of_pair(0, cq), h2.id_of_pair(0, cp))
-        retract.append(group.id_of_pair(zeroed, t))
-    pi = tuple(retract)
+    pi = complement_retraction(group)
 
     record["retraction_fixes_identity"] = pi[0] == 0
     record["retraction_image_is_complement"] = set(pi) == complement.idset

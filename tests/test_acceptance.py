@@ -13,20 +13,20 @@ import time
 from fractions import Fraction
 
 from agroups import (
+    Action,
+    CyclicGroup,
+    DirectProductGroup,
     FamilyParams,
+    SemidirectProductGroup,
     build_family_group,
     cli,
     cr_coordinate_ids,
-    cyclic,
-    direct_product,
     direct_factor_pairs,
     field_semidirect,
     gamma_coordinate_ids,
     is_a_group,
     is_a_prime_group,
-    make_action,
     power_action,
-    semidirect_product,
     structure_report,
     two_prime_decompose,
 )
@@ -60,20 +60,20 @@ def expect(failures, cond, msg):
 
 
 def cyclic_semidirect(n, k, unit):
-    base = cyclic(n)
-    top = cyclic(k)
-    return semidirect_product(base, top, power_action(base, top, unit))
+    base = CyclicGroup(n)
+    top = CyclicGroup(k)
+    return SemidirectProductGroup(base, top, power_action(base, top, unit))
 
 
 def heisenberg27():
-    base = direct_product(cyclic(3), cyclic(3))
-    top = cyclic(3)
+    base = DirectProductGroup(CyclicGroup(3), CyclicGroup(3))
+    top = CyclicGroup(3)
 
     def shear(t, d):
         x, y = base.pair_of(d)
         return base.id_of_pair((x + t * y) % 3, y)
 
-    return semidirect_product(base, top, make_action(base, top, shear))
+    return SemidirectProductGroup(base, top, Action.tabulate(base, top, shear))
 
 
 def test_criterion_1_fixture_construction(capsys):
@@ -128,9 +128,9 @@ def test_criterion_3_small_centralizer(capsys, family1, family2):
 
 def two_prime_candidates():
     return [
-        ("c12", lambda: cyclic(12)),
-        ("c45", lambda: cyclic(45)),
-        ("c4xc25", lambda: direct_product(cyclic(4), cyclic(25))),
+        ("c12", lambda: CyclicGroup(12)),
+        ("c45", lambda: CyclicGroup(45)),
+        ("c4xc25", lambda: DirectProductGroup(CyclicGroup(4), CyclicGroup(25))),
         ("alt4", lambda: field_semidirect(2, 2, 3)),
         ("sym3", lambda: field_semidirect(3, 1, 2)),
         ("f5_c4", lambda: field_semidirect(5, 1, 4)),
@@ -139,8 +139,8 @@ def two_prime_candidates():
         ("f7_c3", lambda: field_semidirect(7, 1, 3)),
         ("c9_c2", lambda: cyclic_semidirect(9, 2, 8)),
         ("c5_c8", lambda: cyclic_semidirect(5, 8, 2)),
-        ("sym3xc2", lambda: direct_product(field_semidirect(3, 1, 2), cyclic(2))),
-        ("d5xc5", lambda: direct_product(field_semidirect(5, 1, 2), cyclic(5))),
+        ("sym3xc2", lambda: DirectProductGroup(field_semidirect(3, 1, 2), CyclicGroup(2))),
+        ("d5xc5", lambda: DirectProductGroup(field_semidirect(5, 1, 2), CyclicGroup(5))),
         ("f13_c4", lambda: field_semidirect(13, 1, 4)),
     ]
 
@@ -150,11 +150,11 @@ def test_criterion_4_two_prime_decomposition(capsys):
         h1 = field_semidirect(5, 2, 2)
         h2 = field_semidirect(2, 4, 5)
         fixed = [
-            ("c6", cyclic(6), (2, 3)),
+            ("c6", CyclicGroup(6), (2, 3)),
             ("c3_c4", cyclic_semidirect(3, 4, 2), (12, 1)),
             ("h1", h1, (50, 1)),
             ("h2", h2, (1, 80)),
-            ("h1xh2", direct_product(h1, h2), (50, 80)),
+            ("h1xh2", DirectProductGroup(h1, h2), (50, 80)),
         ]
         rng = random.Random(20260815)
         extra = rng.sample(two_prime_candidates(), 5)
@@ -183,10 +183,10 @@ def rule_built_groups():
     h2 = field_semidirect(2, 4, 5)
     s3 = field_semidirect(3, 1, 2)
     return [
-        ("c24", cyclic(24)),
-        ("c4900", cyclic(4900)),
-        ("c8xc9", direct_product(cyclic(8), cyclic(9))),
-        ("c25xc25", direct_product(cyclic(25), cyclic(25))),
+        ("c24", CyclicGroup(24)),
+        ("c4900", CyclicGroup(4900)),
+        ("c8xc9", DirectProductGroup(CyclicGroup(8), CyclicGroup(9))),
+        ("c25xc25", DirectProductGroup(CyclicGroup(25), CyclicGroup(25))),
         ("sym3", s3),
         ("c3_c4", cyclic_semidirect(3, 4, 2)),
         ("alt4", field_semidirect(2, 2, 3)),
@@ -199,13 +199,13 @@ def rule_built_groups():
         ("c9_c2", cyclic_semidirect(9, 2, 8)),
         ("c5_c8", cyclic_semidirect(5, 8, 2)),
         ("f17_c8", field_semidirect(17, 1, 8)),
-        ("sym3xc4", direct_product(s3, cyclic(4))),
-        ("sym3xsym3", direct_product(s3, field_semidirect(3, 1, 2))),
-        ("h1xh2", direct_product(h1, h2)),
-        ("c3_c4xf11_c5", direct_product(cyclic_semidirect(3, 4, 2),
+        ("sym3xc4", DirectProductGroup(s3, CyclicGroup(4))),
+        ("sym3xsym3", DirectProductGroup(s3, field_semidirect(3, 1, 2))),
+        ("h1xh2", DirectProductGroup(h1, h2)),
+        ("c3_c4xf11_c5", DirectProductGroup(cyclic_semidirect(3, 4, 2),
                                         field_semidirect(11, 1, 5))),
-        ("alt4xc25", direct_product(field_semidirect(2, 2, 3), cyclic(25))),
-        ("sym3xf5_c4", direct_product(s3, field_semidirect(5, 1, 4))),
+        ("alt4xc25", DirectProductGroup(field_semidirect(2, 2, 3), CyclicGroup(25))),
+        ("sym3xf5_c4", DirectProductGroup(s3, field_semidirect(5, 1, 4))),
     ]
 
 
@@ -295,12 +295,12 @@ def test_criterion_7_steinitz_battery(capsys, steinitz1, steinitz2):
 def test_criterion_8_oracle_agreement(capsys, family1):
     def checks(bad):
         corpus = [
-            cyclic(6),
+            CyclicGroup(6),
             field_semidirect(3, 1, 2),
             cyclic_semidirect(3, 4, 2),
             field_semidirect(5, 2, 2),
             field_semidirect(2, 4, 5),
-            direct_product(field_semidirect(3, 1, 2), cyclic(4)),
+            DirectProductGroup(field_semidirect(3, 1, 2), CyclicGroup(4)),
             family1.quotient(family1.derived_subgroup()),
             field_semidirect(3, 3, 13),
         ]

@@ -5,21 +5,21 @@ from math import lcm
 import pytest
 
 from agroups import (
+    Action,
+    CyclicGroup,
     DecompositionInvariantFailed,
+    DirectProductGroup,
     FamilyParams,
     NotAGroup,
+    SemidirectProductGroup,
     TooManyPrimes,
     build_family_group,
-    cyclic,
     direct_factor_pairs,
-    direct_product,
     field_semidirect,
     is_a_group,
     is_a_prime_group,
-    make_action,
     normal_hall,
     power_action,
-    semidirect_product,
     structure_report,
     two_prime_decompose,
 )
@@ -29,24 +29,24 @@ S3 = field_semidirect(3, 1, 2)
 
 def heisenberg27():
     """(C_3 x C_3) : C_3 via the shear (x, y) -> (x + ty, y): nonabelian 3-group."""
-    kernel = direct_product(cyclic(3), cyclic(3))
-    acting = cyclic(3)
+    kernel = DirectProductGroup(CyclicGroup(3), CyclicGroup(3))
+    acting = CyclicGroup(3)
 
     def shear(t, d):
         x, y = kernel.pair_of(d)
         return kernel.id_of_pair((x + t * y) % 3, y)
 
-    return semidirect_product(kernel, acting, make_action(kernel, acting, shear))
+    return SemidirectProductGroup(kernel, acting, Action.tabulate(kernel, acting, shear))
 
 
 def c3_c4():
-    c3, c4 = cyclic(3), cyclic(4)
-    return semidirect_product(c3, c4, power_action(c3, c4, 2))
+    c3, c4 = CyclicGroup(3), CyclicGroup(4)
+    return SemidirectProductGroup(c3, c4, power_action(c3, c4, 2))
 
 
 def cyclic_semidirect(n, k, unit):
-    base, top = cyclic(n), cyclic(k)
-    return semidirect_product(base, top, power_action(base, top, unit))
+    base, top = CyclicGroup(n), CyclicGroup(k)
+    return SemidirectProductGroup(base, top, power_action(base, top, unit))
 
 
 def test_structure_report_fixture1(family1):
@@ -79,7 +79,7 @@ def test_is_a_group(family1, family2):
     assert is_a_group(family1)
     assert is_a_group(family2)
     assert is_a_group(S3)
-    assert is_a_group(cyclic(8))
+    assert is_a_group(CyclicGroup(8))
     assert not is_a_group(heisenberg27())
 
 
@@ -92,7 +92,7 @@ def test_normal_hall_frozen(family1):
 
 
 def test_normal_hall_small():
-    c6 = cyclic(6)
+    c6 = CyclicGroup(6)
     assert normal_hall(c6, {2}).order == 2
     assert normal_hall(c6, {3}).order == 3
     assert normal_hall(c6, {2, 3}).order == 6
@@ -104,12 +104,12 @@ def test_normal_hall_small():
 
 
 def test_direct_factor_pairs():
-    c6 = cyclic(6)
+    c6 = CyclicGroup(6)
     pairs = direct_factor_pairs(c6)
     assert len(pairs) == 1
     assert sorted(n.order for n in pairs[0]) == [2, 3]
     assert direct_factor_pairs(S3) == []
-    g = direct_product(S3, cyclic(5))
+    g = DirectProductGroup(S3, CyclicGroup(5))
     pairs = direct_factor_pairs(g)
     assert any(sorted(n.order for n in pair) == [5, 6] for pair in pairs)
 
@@ -130,14 +130,14 @@ def test_recognizer_heisenberg_negative():
 def rule_fixtures():
     """20+ groups assembled by the class's own three rules, order <= 5000."""
     groups = [
-        cyclic(1),
-        cyclic(2),
-        cyclic(12),
-        cyclic(30),
-        cyclic(4900),
-        direct_product(cyclic(2), cyclic(2)),
-        direct_product(cyclic(6), cyclic(10)),
-        direct_product(cyclic(9), cyclic(27)),
+        CyclicGroup(1),
+        CyclicGroup(2),
+        CyclicGroup(12),
+        CyclicGroup(30),
+        CyclicGroup(4900),
+        DirectProductGroup(CyclicGroup(2), CyclicGroup(2)),
+        DirectProductGroup(CyclicGroup(6), CyclicGroup(10)),
+        DirectProductGroup(CyclicGroup(9), CyclicGroup(27)),
         S3,
         field_semidirect(5, 1, 2),
         field_semidirect(5, 1, 4),
@@ -152,11 +152,11 @@ def rule_fixtures():
         c3_c4(),
         cyclic_semidirect(9, 2, 8),
         cyclic_semidirect(5, 8, 2),
-        direct_product(S3, cyclic(4)),
-        direct_product(S3, S3),
-        direct_product(field_semidirect(5, 1, 2), field_semidirect(7, 1, 3)),
-        direct_product(field_semidirect(5, 2, 2), field_semidirect(2, 4, 5)),
-        direct_product(c3_c4(), field_semidirect(11, 1, 5)),
+        DirectProductGroup(S3, CyclicGroup(4)),
+        DirectProductGroup(S3, S3),
+        DirectProductGroup(field_semidirect(5, 1, 2), field_semidirect(7, 1, 3)),
+        DirectProductGroup(field_semidirect(5, 2, 2), field_semidirect(2, 4, 5)),
+        DirectProductGroup(c3_c4(), field_semidirect(11, 1, 5)),
     ]
     assert len(groups) >= 20
     assert all(g.order <= 5000 for g in groups)
@@ -172,11 +172,11 @@ def two_prime_corpus():
     h1 = field_semidirect(5, 2, 2)
     h2 = field_semidirect(2, 4, 5)
     corpus = [
-        (cyclic(6), 2, 3),
+        (CyclicGroup(6), 2, 3),
         (c3_c4(), 12, 1),
         (h1, 50, 1),
         (h2, 1, 80),
-        (direct_product(h1, h2), 50, 80),
+        (DirectProductGroup(h1, h2), 50, 80),
     ]
     return corpus
 
@@ -239,10 +239,10 @@ def test_two_prime_order_multisets_multiply():
 
 
 def test_two_prime_decompose_one_prime():
-    dec = two_prime_decompose(cyclic(8))
+    dec = two_prime_decompose(CyclicGroup(8))
     assert dec.p == 2 and dec.q is None
     assert dec.k_p.order == 8 and dec.k_q.order == 1
-    dec = two_prime_decompose(cyclic(1))
+    dec = two_prime_decompose(CyclicGroup(1))
     assert dec.p is None and dec.q is None
     assert dec.k_p.order == 1
 
@@ -254,14 +254,14 @@ def test_two_prime_decompose_rejections(family1):
         two_prime_decompose(heisenberg27())
     with pytest.raises((NotAGroup, TooManyPrimes, DecompositionInvariantFailed)):
         two_prime_decompose(
-            direct_product(heisenberg27(), cyclic(2))
+            DirectProductGroup(heisenberg27(), CyclicGroup(2))
         )
 
 
 def test_decomposition_parts_are_the_coordinates():
     h1 = field_semidirect(5, 2, 2)
     h2 = field_semidirect(2, 4, 5)
-    g = direct_product(h1, h2)
+    g = DirectProductGroup(h1, h2)
     dec = two_prime_decompose(g)
     left = {g.id_of_pair(i, 0) for i in range(h1.order)}
     right = {g.id_of_pair(0, j) for j in range(h2.order)}

@@ -6,10 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from agroups import cli
+from agroups import cli, constructions, groups, steinitz
 from agroups.cli import main, parse_group_spec
-from agroups.errors import BadParams
-from agroups.groups import DEFAULT_ELEMENT_CAP
+from agroups.errors import BadParams, LatticeCapExceeded
+from agroups.groups import DEFAULT_ELEMENT_CAP, CyclicGroup
 
 
 def run_cli(*args):
@@ -66,6 +66,60 @@ def test_huge_exponent_hits_cap_fast(args):
     assert proc.returncode == 3
     assert b"exceeds the cap" in proc.stderr
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (("verify", "2305843009213693951,2,3,1,1"), 1),
+        (("decompose", "field(2305843009213693951,1)"), 3),
+        (("verify", "2305843009213693951,2,3,1,122"), 3),
+    ],
+    ids=["verify-bad-divisibility", "decompose-field", "verify-over-cap"],
+)
+def test_huge_prime_is_answered_fast(args, code):
+    start = time.perf_counter()
+    proc = run_cli(*args)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == code, proc.stderr
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "product(cyclic(1), " * 2000 + "cyclic(1)" + ")" * 2000,
+        "cyclic(" + "7" * 5000 + ")",
+    ],
+    ids=["deep-nesting", "long-integer"],
+)
+def test_oversized_spec_is_bad_input(spec):
+    proc = run_cli("decompose", spec)
+    assert proc.returncode == 1
+    err = proc.stderr.decode()
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_lattice_cap_is_exit_3(capsys, monkeypatch):
+    monkeypatch.setattr(groups, "LATTICE_CAP", 2)
+    with pytest.raises(LatticeCapExceeded):
+        CyclicGroup(6).normal_subgroups()
+    assert main(["verify", "5,2,3,2,4"]) == 3
+    assert capsys.readouterr().err == "error: normal lattice exceeds 2 subgroups\n"
+
+
+def test_verify_invariant_failure_is_exit_2(capsys, monkeypatch):
+    # A wrong kernel makes family_projection's recorded checks fail.
+    monkeypatch.setattr(
+        steinitz, "kernel_coordinate_ids", constructions.gamma_coordinate_ids
+    )
+    assert main(["verify", "5,2,3,2,4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: DecompositionInvariantFailed: projection checks failed: kernel_order,"
+    )
 
 
 def test_huge_exponent_bad_divisibility_is_bad_input(capsys):

@@ -2,7 +2,9 @@ import pytest
 
 from agroups import (
     BadParams,
+    CyclicGroup,
     FamilyParams,
+    FieldAddGroup,
     NonPrime,
     NotFamilyGroup,
     SizeCapExceeded,
@@ -10,7 +12,6 @@ from agroups import (
     build_family_group,
     cr_coordinate_ids,
     cr_coordinate_subgroup,
-    cyclic,
     field_semidirect,
     gamma_coordinate_ids,
     kernel_coordinate_ids,
@@ -19,7 +20,6 @@ from agroups import (
     scalar_action,
     search_family,
 )
-from agroups.constructions import additive_group
 from agroups.fields import element_of_order
 
 
@@ -96,23 +96,23 @@ def test_coordinate_id_sets(family1):
     sub = cr_coordinate_subgroup(family1)
     assert sub.order == params.r
     with pytest.raises(NotFamilyGroup):
-        cr_coordinate_ids(cyclic(6))
+        cr_coordinate_ids(CyclicGroup(6))
 
 
 def test_scalar_action_requires_exact_order():
     field = make_field(5, 2)
-    add = additive_group(field)
+    add = FieldAddGroup(field)
     with pytest.raises(WrongOrder):
-        scalar_action(add, cyclic(4), element_of_order(field, 2))
+        scalar_action(add, CyclicGroup(4), element_of_order(field, 2))
 
 
 def test_power_action_allows_divisor_order():
     field = make_field(5, 2)
-    add = additive_group(field)
-    action = power_action(add, cyclic(4), element_of_order(field, 2))
+    add = FieldAddGroup(field)
+    action = power_action(add, CyclicGroup(4), element_of_order(field, 2))
     assert action.apply(2, 7) == 7  # unit^2 = 1, so the row is the identity
     with pytest.raises(WrongOrder):
-        power_action(add, cyclic(3), element_of_order(field, 2))
+        power_action(add, CyclicGroup(3), element_of_order(field, 2))
 
 
 def test_h1_action_is_fixed_point_free(family1):

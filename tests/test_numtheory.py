@@ -18,6 +18,33 @@ def test_is_prime_small():
         assert is_prime(n) == (n in primes)
 
 
+def trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(10**5) if is_prime(n)] == [
+        n for n in range(10**5) if trial_division_is_prime(n)
+    ]
+
+
+def test_is_prime_rejects_pseudoprimes():
+    carmichael = (561, 1105, 1729, 41041, 825265, 321197185, 5394826801,
+                  232250619601, 9746347772161)
+    # Strong pseudoprimes to every prime base up to 31 and up to 37.
+    strong = (3825123056546413051, 318665857834031151167461)
+    for n in carmichael + strong:
+        assert not is_prime(n), n
+
+
+def test_is_prime_large():
+    assert is_prime(2**61 - 1)
+    assert is_prime(2**31 - 1)
+    assert not is_prime((2**61 - 1) * (2**19 - 1))
+    # Past the Miller-Rabin bound trial division decides; 43 is found first.
+    assert not is_prime(43 * 10**24)
+
+
 def test_prime_factors():
     assert prime_factors(1) == {}
     assert prime_factors(12000) == {2: 5, 3: 1, 5: 3}

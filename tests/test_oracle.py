@@ -4,13 +4,13 @@ import random
 import pytest
 
 from agroups import (
+    CyclicGroup,
+    DirectProductGroup,
     FamilyParams,
+    SemidirectProductGroup,
     build_family_group,
-    cyclic,
-    direct_product,
     field_semidirect,
     power_action,
-    semidirect_product,
 )
 
 from naive import (
@@ -22,8 +22,8 @@ from naive import (
 
 
 def c3_c4():
-    c3, c4 = cyclic(3), cyclic(4)
-    return semidirect_product(c3, c4, power_action(c3, c4, 2))
+    c3, c4 = CyclicGroup(3), CyclicGroup(4)
+    return SemidirectProductGroup(c3, c4, power_action(c3, c4, 2))
 
 
 def quotient30():
@@ -33,17 +33,17 @@ def quotient30():
 
 def corpus():
     return [
-        cyclic(6),
-        direct_product(cyclic(2), cyclic(2)),
+        CyclicGroup(6),
+        DirectProductGroup(CyclicGroup(2), CyclicGroup(2)),
         field_semidirect(3, 1, 2),
         c3_c4(),
-        direct_product(field_semidirect(3, 1, 2), cyclic(4)),
+        DirectProductGroup(field_semidirect(3, 1, 2), CyclicGroup(4)),
         field_semidirect(5, 2, 2),
         field_semidirect(2, 4, 5),
         field_semidirect(3, 2, 8),
         quotient30(),
         field_semidirect(3, 3, 13),
-        direct_product(field_semidirect(5, 2, 8), cyclic(9)),
+        DirectProductGroup(field_semidirect(5, 2, 8), CyclicGroup(9)),
     ]
 
 

@@ -7,10 +7,10 @@ import pytest
 
 from agroups import (
     BadParams,
+    CyclicGroup,
     NotFamilyGroup,
     PrimeDoesNotDivide,
     class_weight,
-    cyclic,
     family_projection,
     field_semidirect,
     order_ell_classification,
@@ -83,7 +83,7 @@ def test_sylow_exponent_reports(family1, family2):
     assert sylow_exponent_report(family1) == {2: 2, 3: 3, 5: 5}
     assert sylow_exponent_report(family2) == {2: 2, 3: 3, 13: 13}
     # negative control: a cyclic 2-group has exponent above its prime
-    assert sylow_exponent_report(cyclic(4)) == {2: 4}
+    assert sylow_exponent_report(CyclicGroup(4)) == {2: 4}
 
 
 def test_class_weight_formula():
