@@ -48,7 +48,7 @@ from .groups import (
     FiniteGroup,
     SemidirectProductGroup,
 )
-from .numtheory import multiplicative_order
+from .numtheory import MAX_INPUT_DIGITS, multiplicative_order
 from .steinitz import steinitz_report
 
 EXIT_OK = 0
@@ -241,10 +241,8 @@ def _fail(message: str) -> None:
 # group spec parsing for the decompose subcommand
 
 _TOKEN = re.compile(r"\s*([a-z_]+|\d+|[(),])")
-# No enumerable group comes near 10^24 elements, and below that bound
-# is_prime is exact and fast.  Real specs nest a few levels; the depth
-# bound keeps the recursive parser far from the interpreter's limit.
-_MAX_SPEC_DIGITS = 24
+# Real specs nest a few levels; the depth bound keeps the recursive
+# parser far from the interpreter's limit.
 _MAX_SPEC_DEPTH = 50
 
 
@@ -268,9 +266,9 @@ def _parse_node(tokens: list[str], pos: int, depth: int = 0):
         raise BadParams("group spec ended unexpectedly")
     tok = tokens[pos]
     if tok.isdigit():
-        if len(tok) > _MAX_SPEC_DIGITS:
+        if len(tok) > MAX_INPUT_DIGITS:
             raise BadParams(
-                f"integer in group spec has more than {_MAX_SPEC_DIGITS} digits"
+                f"integer in group spec has more than {MAX_INPUT_DIGITS} digits"
             )
         return int(tok), pos + 1
     if tok in "(),":

@@ -14,6 +14,7 @@ The resulting group has order p^(a+1) * q^(b+1) * r.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -29,7 +30,10 @@ from .groups import (
     Subgroup,
     DEFAULT_ELEMENT_CAP,
 )
-from .numtheory import is_prime, multiplicative_order, primes_up_to
+from .numtheory import MAX_INPUT_DIGITS, is_prime, multiplicative_order, primes_up_to
+
+# search_family refuses larger bounds; its sieve reaches sqrt(bound / 72).
+MAX_SEARCH_ORDER = 10**12
 
 
 def power_action(
@@ -101,6 +105,8 @@ class FamilyParams:
         parts = [t.strip() for t in text.split(",")]
         if len(parts) != 5:
             raise BadParams(f"expected 5 comma-separated integers, got {len(parts)}")
+        if any(len(t) > MAX_INPUT_DIGITS for t in parts):
+            raise BadParams(f"parameter has more than {MAX_INPUT_DIGITS} digits")
         try:
             p, q, r, a, b = (int(t) for t in parts)
         except ValueError as exc:
@@ -275,31 +281,43 @@ def search_family(max_order: int) -> list[tuple[FamilyParams, int]]:
     For each ordered triple of distinct primes the minimal exponents are
     the multiplicative orders of p mod qr and of q mod pr; any multiples
     also satisfy the divisibility constraints, so every multiple pair
-    that still fits is emitted.  A triple can only contribute when
-    p^2 q^2 r <= max_order, which bounds the prime scan.  Results are
-    sorted by group order, then by parameter tuple.
+    that still fits is emitted.  Results are sorted by group order, then
+    by parameter tuple.
+
+    The scan is bounded by a theorem rather than by trial: qr | p^a0 - 1
+    forces p^a0 > qr, and likewise q^b0 > pr, so every order is greater
+    than p^2 q^2 r^3.  Each prime is therefore below sqrt(max_order / 72)
+    (72 = 3^2 2^3 is the least q^2 r^3 over distinct primes) and the
+    exponent searches stop once p^a0 or q^b0 is provably too large.
     """
     if max_order < 1:
         raise BadParams("max_order must be at least 1")
+    if max_order > MAX_SEARCH_ORDER:
+        raise SizeCapExceeded(
+            f"max_order {max_order} exceeds the search bound {MAX_SEARCH_ORDER}"
+        )
     found: list[tuple[FamilyParams, int]] = []
-    # r is only bounded by max_order / (p^2 q^2) and the smallest distinct
-    # prime pair gives p^2 q^2 = 36, so the sieve must reach that far.
-    primes = primes_up_to(max(2, max_order // 36))
+    primes = primes_up_to(math.isqrt(max_order // 72) + 1)
     for p in primes:
-        if p * p * 2 * 2 * 2 > max_order:
+        if p * p * 72 >= max_order:
             break
         for q in primes:
             if q == p:
                 continue
-            if p * p * q * q * 2 > max_order:
+            if p * p * q * q * 8 >= max_order:
                 break
             for r in primes:
                 if r == p or r == q:
                     continue
-                if p * p * q * q * r > max_order:
+                if p * p * q * q * r**3 >= max_order:
                     break
-                a0 = multiplicative_order(p, q * r)
-                b0 = multiplicative_order(q, p * r)
+                # order >= p^(a0+1) q^(b0+1) r > p^(a0+2) q r^2, and symmetrically.
+                a0 = multiplicative_order(p, q * r, max_order // (p * p * q * r * r))
+                if a0 is None:
+                    continue
+                b0 = multiplicative_order(q, p * r, max_order // (q * q * p * r * r))
+                if b0 is None:
+                    continue
                 a = a0
                 while p ** (a + 1) * q ** (b0 + 1) * r <= max_order:
                     b = b0

@@ -26,6 +26,16 @@ Algorithm notes, since several follow less-travelled routes:
   set of elements satisfying a one-sided homomorphism law against all
   partners is closed under products, so containing the generators
   forces it to be the whole group.
+- element_orders() reads orders off the construction tree instead of
+  powering every element: ord(i) = n / gcd(i, n) in C_n, p off the
+  identity in GF(p^a)+, lcm(ord l, ord r) in a direct pair, and in a
+  semidirect pair x = (l, r) with m = ord(r) the power x^m lies in the
+  kernel as some l', so ord(x) = m * ord(l').  Quotients still power.
+- normal_subgroups() closes one conjugacy class per rational class:
+  when x^e (e prime to ord x) lies in an already closed class, the two
+  classes generate the same normal subgroup, since each of x and x^e is
+  a power of the other (Holt, Eick and O'Brien, Handbook of
+  Computational Group Theory, 2005, ch. 4).
 """
 from __future__ import annotations
 
@@ -287,8 +297,12 @@ class FiniteGroup:
 
     def element_orders(self) -> list[int]:
         if self._orders is None:
-            self._orders = [self.element_order(i) for i in range(self.order)]
+            self._orders = self._element_orders()
         return self._orders
+
+    def _element_orders(self) -> list[int]:
+        """Per-node rule behind element_orders(); the default powers."""
+        return [self.element_order(i) for i in range(self.order)]
 
     def exponent_of(self, ids: Iterable[int]) -> int:
         out = 1
@@ -472,10 +486,20 @@ class FiniteGroup:
         Every normal subgroup is a union of conjugacy classes and hence
         the join of the closures of the classes it contains, so closing
         the class-closure atoms under pairwise join yields exactly the
-        normal lattice.
+        normal lattice.  A class holding a power x^e, e prime to
+        ord(x), of an earlier closed class's least member x is skipped:
+        each of x and x^e is a power of the other, so it would close to
+        the atom already pushed for x, which push() would discard.
         """
         if self._normals is not None:
             return self._normals
+        comp = self.compose
+        classes = self.conjugacy_classes()
+        class_of = [0] * self.order
+        for k, cls in enumerate(classes):
+            for x in cls:
+                class_of[x] = k
+        covered = bytearray(len(classes))
         items: list[Subgroup] = []
         keys: set[tuple[int, ...]] = set()
 
@@ -488,7 +512,19 @@ class FiniteGroup:
                         f"normal lattice exceeds {LATTICE_CAP} subgroups"
                     )
 
-        for cls in self.conjugacy_classes():
+        for k, cls in enumerate(classes):
+            if covered[k]:
+                continue
+            x = cls[0]
+            powers = [0]  # powers[e] = x^e for 0 <= e < ord(x)
+            y = x
+            while y:
+                powers.append(y)
+                y = comp(y, x)
+            n = len(powers)
+            for e in range(2, n):
+                if math.gcd(e, n) == 1:
+                    covered[class_of[powers[e]]] = 1
             push(self.closure(cls))
         half = self.order // 2
         i = 0
@@ -586,6 +622,10 @@ class CyclicGroup(FiniteGroup):
     def invert(self, i: int) -> int:
         return (-i) % self.n
 
+    def _element_orders(self) -> list[int]:
+        n = self.n
+        return [n // math.gcd(i, n) for i in range(n)]
+
     def element(self, i: int) -> CyclicElement:
         if not 0 <= i < self.n:
             raise UnknownElement(f"id {i} out of range")
@@ -640,6 +680,9 @@ class FieldAddGroup(FiniteGroup):
 
     def invert(self, i: int) -> int:
         return self._neg[i]
+
+    def _element_orders(self) -> list[int]:
+        return [1] + [self.field.p] * (self.order - 1)
 
     def element(self, i: int) -> VectorElement:
         if not 0 <= i < self.order:
@@ -762,6 +805,11 @@ class DirectProductGroup(_PairGroup):
         r = self.right.invert(self._r_of[i])
         return self._id_of_code[l * self._nr + r]
 
+    def _element_orders(self) -> list[int]:
+        lo = self.left.element_orders()
+        ro = self.right.element_orders()
+        return [math.lcm(lo[l], ro[r]) for l, r in zip(self._l_of, self._r_of)]
+
     def __repr__(self) -> str:
         return f"({self.left!r} x {self.right!r})"
 
@@ -793,6 +841,23 @@ class SemidirectProductGroup(_PairGroup):
         r = self.right.invert(self._r_of[i])
         l = self.action.rows[r][self.left.invert(self._l_of[i])]
         return self._id_of_code[l * self._nr + r]
+
+    def _element_orders(self) -> list[int]:
+        """(l, r)^k = (l * r.l * ... * r^(k-1).l, r^k); stop at k = ord(r)."""
+        lo = self.left.element_orders()
+        ro = self.right.element_orders()
+        lcomp = self.left.compose
+        rcomp = self.right.compose
+        rows = self.action.rows
+        out = []
+        for l, r in zip(self._l_of, self._r_of):
+            m = ro[r]
+            acc, g = l, r
+            for _ in range(m - 1):
+                acc = lcomp(acc, rows[g][l])
+                g = rcomp(g, r)
+            out.append(m * lo[acc])
+        return out
 
     def __repr__(self) -> str:
         return f"({self.left!r} : {self.right!r})"

@@ -8,6 +8,10 @@ import math
 # pseudoprime below this bound (Sorenson and Webster, Math. Comp. 2017).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3317044064679887385961981
+# User-supplied integers have at most this many digits: 10^24 is below
+# _MR_EXACT_BELOW, so their primality test is exact and fast, and no
+# enumerable group comes near 10^24 elements.
+MAX_INPUT_DIGITS = 24
 
 
 def is_prime(n: int) -> bool:
@@ -75,16 +79,25 @@ def is_prime_power_of(n: int, p: int) -> bool:
     return p_part(n, p) == n
 
 
-def multiplicative_order(x: int, m: int) -> int:
-    """Order of x in the unit group mod m; requires gcd(x, m) == 1."""
+def multiplicative_order(x: int, m: int, limit: int | None = None) -> int | None:
+    """Order of x in the unit group mod m; requires gcd(x, m) == 1.
+
+    With a limit, give up and return None once x^k exceeds it (for
+    x >= 2 that is after about log_x(limit) steps): the order is then
+    some k with x^k > limit.
+    """
     if m == 1:
         return 1
+    power = x
     x %= m
     if math.gcd(x, m) != 1:
         raise ValueError(f"{x} is not a unit mod {m}")
     k, y = 1, x
     while y != 1:
+        if limit is not None and power > limit:
+            return None
         y = y * x % m
+        power *= x
         k += 1
     return k
 

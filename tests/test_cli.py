@@ -86,6 +86,35 @@ def test_huge_prime_is_answered_fast(args, code):
 
 
 @pytest.mark.parametrize(
+    "args, code",
+    [
+        (("verify", "10000000000000000000000013,2,3,1,1"), 1),
+        (("decompose", "10000000000000000000000013,2,3,1,1"), 1),
+        (("search", "--max-order", str(10**13)), 3),
+    ],
+    ids=["verify-25-digit-prime", "decompose-25-digit-prime", "search-1e13"],
+)
+def test_oversized_number_is_refused_at_once(args, code):
+    # A 25-digit prime is past exact Miller-Rabin and would trial-divide;
+    # a search bound of 10^13 would sieve gigabytes.
+    start = time.perf_counter()
+    proc = run_cli(*args)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == code
+    err = proc.stderr.decode()
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert elapsed < 1.0
+
+
+def test_search_at_its_bound_extends_the_1e6_listing(capsys):
+    # Rows are sorted by order, so the listing up to 10^6 is a prefix.
+    assert main(["search", "--max-order", str(constructions.MAX_SEARCH_ORDER)]) == 0
+    out = capsys.readouterr().out
+    small = (Path(__file__).parent / "golden" / "search_1e6.txt").read_text()
+    assert out.startswith(small) and len(out) > len(small)
+
+
+@pytest.mark.parametrize(
     "spec",
     [
         "product(cyclic(1), " * 2000 + "cyclic(1)" + ")" * 2000,

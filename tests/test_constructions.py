@@ -20,7 +20,9 @@ from agroups import (
     scalar_action,
     search_family,
 )
+from agroups import constructions
 from agroups.fields import element_of_order
+from agroups.numtheory import multiplicative_order, primes_up_to
 
 
 def test_params_parse_and_validate():
@@ -189,3 +191,46 @@ def test_search_against_direct_arithmetic_oracle():
                             expected.add((p, q, r, a, b, order))
     got = {(x.p, x.q, x.r, x.a, x.b, o) for x, o in search_family(limit)}
     assert got == expected
+
+
+def unpruned_search(max_order):
+    """The family search before its p^2 q^2 r^3 bound: sieve to N/36 and
+    take every multiplicative order by the linear loop."""
+    found = []
+    primes = primes_up_to(max(2, max_order // 36))
+    for p in primes:
+        if p * p * 2 * 2 * 2 > max_order:
+            break
+        for q in primes:
+            if q == p:
+                continue
+            if p * p * q * q * 2 > max_order:
+                break
+            for r in primes:
+                if r == p or r == q:
+                    continue
+                if p * p * q * q * r > max_order:
+                    break
+                a0 = multiplicative_order(p, q * r)
+                b0 = multiplicative_order(q, p * r)
+                a = a0
+                while p ** (a + 1) * q ** (b0 + 1) * r <= max_order:
+                    b = b0
+                    while p ** (a + 1) * q ** (b + 1) * r <= max_order:
+                        found.append(((p, q, r, a, b), p ** (a + 1) * q ** (b + 1) * r))
+                        b += b0
+                    a += a0
+    return sorted(found, key=lambda row: (row[1], row[0]))
+
+
+@pytest.mark.parametrize(
+    "limit", [1, 287, 288, 11999, 12000, 27378, 60750, 60751, 123456, 200000]
+)
+def test_search_matches_unpruned_loop(limit):
+    got = [((x.p, x.q, x.r, x.a, x.b), o) for x, o in search_family(limit)]
+    assert got == unpruned_search(limit)
+
+
+def test_search_bound_is_enforced():
+    with pytest.raises(SizeCapExceeded):
+        search_family(constructions.MAX_SEARCH_ORDER + 1)

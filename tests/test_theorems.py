@@ -1,19 +1,27 @@
-"""The two theorems that replaced subgroup scans, checked against the scans.
+"""The theorems that replaced scans, checked against the scans.
 
 - Steinitz rows: N(<t>) = C(t) exactly when the class of t meets <t>
   only in t (class_meets_cycle_only_at_rep).
 - Sylow ascent: the lowest-id ell-element outside P that conjugates P's
   generators into P is the lowest-id ell-element of N(P) outside P.
+- Element orders from the construction tree: gcd in cyclic leaves, p in
+  field leaves, lcm in direct pairs, ord(r) * ord(l') in semidirect
+  pairs, where (l, r)^ord(r) = (l', 1).
+- Lattice atoms: a class holding a power x^e, e prime to ord(x), of an
+  earlier class's least member x closes to the same normal subgroup.
 
 The reference side builds N(<t>), C(t) and N(P) with the engine's
-normalizer/centralizer scans, which test_oracle checks against naive.py.
+normalizer/centralizer scans, which test_oracle checks against naive.py,
+powers every element, and closes every conjugacy class.
 """
 import pytest
 
 from agroups import order_ell_classification
+from agroups.groups import LATTICE_CAP, QuotientGroup
 from agroups.numtheory import is_prime_power_of, p_part, prime_divisors
 from agroups.steinitz import class_meets_cycle_only_at_rep
 
+from naive import naive_element_order
 from test_oracle import CORPUS
 
 
@@ -76,3 +84,74 @@ def test_class_test_matches_scans_on_corpus():
             verdicts.append(fast)
     # Both outcomes occur, so neither branch of the theorem goes untested.
     assert True in verdicts and False in verdicts
+
+
+def family_nodes(group):
+    parts = group.family_parts
+    return [
+        parts.add1, parts.add2, parts.cq, parts.cp, parts.cr,
+        parts.h1, parts.h2, parts.inner, group,
+    ]
+
+
+def assert_orders_match_powering(group):
+    orders = group.element_orders()
+    assert orders == [group.element_order(i) for i in range(group.order)]
+    assert orders == [naive_element_order(group, i) for i in range(group.order)]
+
+
+def test_tree_orders_match_powering_on_family_nodes(family1):
+    for node in family_nodes(family1):
+        assert_orders_match_powering(node)
+
+
+@pytest.mark.parametrize("group", CORPUS, ids=lambda g: f"order{g.order}")
+def test_tree_orders_match_powering_on_corpus(group):
+    assert_orders_match_powering(group)
+
+
+def test_corpus_has_a_quotient():
+    assert any(isinstance(g, QuotientGroup) for g in CORPUS)
+
+
+def all_classes_lattice(group):
+    """normal_subgroups with every conjugacy class closed as an atom."""
+    items, keys = [], set()
+
+    def push(s):
+        if s.ids not in keys:
+            keys.add(s.ids)
+            items.append(s)
+            assert len(items) <= LATTICE_CAP
+
+    for cls in group.conjugacy_classes():
+        push(group.closure(cls))
+    half = group.order // 2
+    i = 0
+    while i < len(items):
+        a = items[i]
+        for j in range(i):
+            b = items[j]
+            if a.idset <= b.idset or b.idset <= a.idset:
+                continue
+            if a.order * b.order > half * len(a.idset & b.idset):
+                push(group.whole_subgroup())
+            else:
+                push(group.closure(a.gens + b.gens))
+        i += 1
+    return sorted(items, key=lambda s: (s.order, s.ids))
+
+
+def assert_lattice_matches_all_classes(group):
+    got = [(s.ids, s.gens) for s in group.normal_subgroups()]
+    want = [(s.ids, s.gens) for s in all_classes_lattice(group)]
+    assert got == want
+
+
+def test_rational_atoms_match_all_classes_on_family(family1):
+    assert_lattice_matches_all_classes(family1)
+
+
+@pytest.mark.parametrize("group", CORPUS, ids=lambda g: f"order{g.order}")
+def test_rational_atoms_match_all_classes_on_corpus(group):
+    assert_lattice_matches_all_classes(group)
