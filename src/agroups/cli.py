@@ -12,7 +12,6 @@ import argparse
 import json
 import re
 import sys
-from math import gcd
 
 from .classify import (
     direct_factor_pairs,
@@ -48,7 +47,7 @@ from .groups import (
     FiniteGroup,
     SemidirectProductGroup,
 )
-from .numtheory import MAX_INPUT_DIGITS, multiplicative_order
+from .numtheory import MAX_INPUT_DIGITS, prime_divisors
 from .steinitz import steinitz_report
 
 EXIT_OK = 0
@@ -297,8 +296,14 @@ def _want_ints(name: str, args: tuple, count: int) -> tuple[int, ...]:
 
 
 def _smallest_unit_of_order(n: int, m: int) -> int:
+    """Least u with multiplicative order exactly m modulo n.
+
+    u^m = 1 makes u a unit whose order divides m; the order is m itself
+    unless u^(m/l) = 1 for some prime l dividing m.
+    """
+    primes = prime_divisors(m)
     for u in range(1, n):
-        if gcd(u, n) == 1 and multiplicative_order(u, n) == m:
+        if pow(u, m, n) == 1 and all(pow(u, m // ell, n) != 1 for ell in primes):
             return u
     raise BadParams(f"no unit of order {m} modulo {n}")
 
@@ -341,6 +346,10 @@ def _realize(node, cap: int) -> FiniteGroup:
         if m < 1 or k < 1 or k % m:
             raise BadParams(f"scalar order {m} must divide the acting order {k}")
         base = _realize(base_node, cap)
+        if base.order * k > cap:
+            raise SizeCapExceeded(
+                f"semidirect order {base.order} * {k} exceeds the cap {cap}"
+            )
         acting = CyclicGroup(k, cap)
         if base_node[0] == "field":
             unit = element_of_order(base.field, m)

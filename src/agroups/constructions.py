@@ -188,14 +188,16 @@ def build_family_group(
     The returned group carries `family_params` and `family_parts`
     attributes so coordinate-level reports can find the pieces.
     """
-    params.validate()
-    # p, q >= 2: an exponent past the cap's bit length is over the cap.
-    if max(params.a, params.b) > cap.bit_length() or params.order() > cap:
-        raise SizeCapExceeded(
-            f"family order {params.p}^{params.a + 1} * {params.q}^{params.b + 1}"
-            f" * {params.r} exceeds the cap {cap}"
-        )
     p, q, r, a, b = params.p, params.q, params.r, params.a, params.b
+    # The cap comes before validate(), whose primality tests grow with the
+    # primes.  For p, q >= 2 an exponent past the cap's bit length is over it.
+    if min(p, q) >= 2 and min(a, b) >= 1 and (
+        max(a, b) > cap.bit_length() or params.order() > cap
+    ):
+        raise SizeCapExceeded(
+            f"family order {p}^{a + 1} * {q}^{b + 1} * {r} exceeds the cap {cap}"
+        )
+    params.validate()
     h1 = field_semidirect(p, a, q, cap)
     h2 = field_semidirect(q, b, p, cap)
     cr = CyclicGroup(r, cap)

@@ -17,10 +17,6 @@ class GeneratorsDoNotGenerate(AGroupsError):
     """Closure of the supplied generators is smaller than the full group."""
 
 
-class UnknownElement(AGroupsError, ValueError):
-    """A value does not belong to the group, or an id is out of range."""
-
-
 class InvalidAction(AGroupsError, ValueError):
     """A would-be action fails the automorphism or compatibility checks."""
 

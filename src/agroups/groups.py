@@ -2,12 +2,14 @@
 
 Groups are built as construction trees (cyclic leaves, field-additive
 leaves, direct and semidirect pair nodes, quotients) and enumerated up
-front.  Every element carries a dense integer id; id 0 is always the
-identity.  For tree-built groups the ids are breadth-first discovery
-ranks over the Cayley graph: start from the identity and repeatedly
-right-multiply by the generators in a fixed order.  Quotient groups
-instead use ascending minimal-coset-representative order, which is the
-deterministic analogue at the quotient level.
+front.  Every element is a dense integer id; id 0 is the identity.
+Leaves are their own coordinates: a cyclic id is its residue and a field
+id is its element's base-p code (FieldSpec.decode reads it back).  Pair
+ids are breadth-first discovery ranks over the Cayley graph, from the
+identity by right-multiplying with the generators in a fixed order; they
+depend on that graph and order alone, not on the children's labels
+(pair_of and id_of_pair translate).  Quotient ids follow the least coset
+representative in ascending order (rep and nat translate).
 
 All queries after construction are pure.  Caches (element orders,
 conjugacy classes, Sylow subgroups, the normal lattice) are filled
@@ -30,7 +32,9 @@ Algorithm notes, since several follow less-travelled routes:
   powering every element: ord(i) = n / gcd(i, n) in C_n, p off the
   identity in GF(p^a)+, lcm(ord l, ord r) in a direct pair, and in a
   semidirect pair x = (l, r) with m = ord(r) the power x^m lies in the
-  kernel as some l', so ord(x) = m * ord(l').  Quotients still power.
+  kernel as some l', so ord(x) = m * ord(l').  In a quotient G/N the
+  order of xN is the least d with x^d in N, which divides ord(x), so it
+  is found by dividing primes out of ord(x).
 - normal_subgroups() closes one conjugacy class per rational class:
   when x^e (e prime to ord x) lies in an already closed class, the two
   classes generate the same normal subgroup, since each of x and x^e is
@@ -40,8 +44,7 @@ Algorithm notes, since several follow less-travelled routes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     BadParams,
@@ -51,10 +54,9 @@ from .errors import (
     NotNormal,
     PrimeDoesNotDivide,
     SizeCapExceeded,
-    UnknownElement,
 )
 from .fields import FieldSpec
-from .numtheory import is_prime, is_prime_power_of, p_part
+from .numtheory import is_prime, is_prime_power_of, p_part, prime_divisors
 
 DEFAULT_ELEMENT_CAP = 10**6
 # normal_subgroups raises LatticeCapExceeded past this many subgroups.
@@ -63,31 +65,6 @@ LATTICE_CAP = 10**4
 # Below this order a dense composition table is cheap and pays for itself
 # in the scan-heavy algorithms.
 _TABLE_LIMIT = 200
-
-
-@dataclass(frozen=True)
-class CyclicElement:
-    """Residue in a cyclic leaf."""
-
-    value: int
-
-
-@dataclass(frozen=True)
-class VectorElement:
-    """Element of a field-additive leaf: coefficient tuple, constant first."""
-
-    coeffs: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class PairElement:
-    """Node of a direct or semidirect pair: (kernel part, acting part)."""
-
-    left: "GroupElement"
-    right: "GroupElement"
-
-
-GroupElement = CyclicElement | VectorElement | PairElement
 
 
 def _generators_commute(comp: Callable[[int, int], int], g: Sequence[int]) -> bool:
@@ -233,9 +210,9 @@ def trivial_action(kernel: "FiniteGroup", acting: "FiniteGroup") -> Action:
 class FiniteGroup:
     """Base engine: a fully enumerated group addressed by dense ids.
 
-    Subclasses provide the primitive layer (compose, invert, element,
-    index, order, gens); this class provides every algorithm on top of
-    it.  Id 0 is the identity everywhere.
+    Subclasses provide the primitive layer (compose, invert, order,
+    gens); this class provides every algorithm on top of it.  Id 0 is
+    the identity everywhere.
     """
 
     order: int
@@ -257,12 +234,6 @@ class FiniteGroup:
     def invert(self, i: int) -> int:
         raise NotImplementedError
 
-    def element(self, i: int) -> GroupElement:
-        raise NotImplementedError
-
-    def index(self, e: GroupElement) -> int:
-        raise NotImplementedError
-
     def _check_cap(self, predicted: int) -> None:
         if predicted > self._cap:
             raise SizeCapExceeded(
@@ -282,9 +253,6 @@ class FiniteGroup:
         return self._compose_ids(i, j)
 
     # -- enumeration helpers ---------------------------------------------
-
-    def elements(self) -> Iterator[GroupElement]:
-        return (self.element(i) for i in range(self.order))
 
     def element_order(self, i: int) -> int:
         comp = self.compose
@@ -626,82 +594,40 @@ class CyclicGroup(FiniteGroup):
         n = self.n
         return [n // math.gcd(i, n) for i in range(n)]
 
-    def element(self, i: int) -> CyclicElement:
-        if not 0 <= i < self.n:
-            raise UnknownElement(f"id {i} out of range")
-        return CyclicElement(i)
-
-    def index(self, e: GroupElement) -> int:
-        if not isinstance(e, CyclicElement) or not 0 <= e.value < self.n:
-            raise UnknownElement(f"{e!r} is not in C_{self.n}")
-        return e.value
-
     def __repr__(self) -> str:
         return f"C{self.n}"
 
 
 class FieldAddGroup(FiniteGroup):
-    """Additive group of a finite field, generated by the coefficient basis."""
+    """Additive group of a finite field; an id is its element's base-p code.
+
+    The generators are the codes 1, p, ..., p^(a-1) of the coefficient
+    basis, and field.decode(i) reads an id back as a coefficient tuple.
+    """
 
     def __init__(self, field: FieldSpec, cap: int = DEFAULT_ELEMENT_CAP):
         super().__init__(cap)
         self._check_cap(field.order)
         self.field = field
         self.order = field.order
-        basis = [
-            tuple(1 if k == i else 0 for k in range(field.a))
-            for i in range(field.a)
-        ]
-        # Breadth-first closure over coefficient tuples; discovery rank = id.
-        vecs = [field.zero()]
-        idx = {field.zero(): 0}
-        qi = 0
-        while qi < len(vecs):
-            x = vecs[qi]
-            qi += 1
-            for g in basis:
-                y = field.add(x, g)
-                if y not in idx:
-                    idx[y] = len(vecs)
-                    vecs.append(y)
-        if len(vecs) != field.order:
-            raise GeneratorsDoNotGenerate("basis did not span the field")
-        self._vec = vecs
-        self._id_by_code = [0] * field.order
-        for i, v in enumerate(vecs):
-            self._id_by_code[field.encode(v)] = i
-        self.gens = tuple(idx[b] for b in basis)
-        self._neg = [self._id_by_code[field.encode(field.neg(v))] for v in vecs]
+        self.gens = tuple(field.p**k for k in range(field.a))
         self._finish()
 
     def _compose_ids(self, i: int, j: int) -> int:
         f = self.field
-        return self._id_by_code[f.encode(f.add(self._vec[i], self._vec[j]))]
+        return f.encode(f.add(f.decode(i), f.decode(j)))
 
     def invert(self, i: int) -> int:
-        return self._neg[i]
+        f = self.field
+        return f.encode(f.neg(f.decode(i)))
 
     def _element_orders(self) -> list[int]:
         return [1] + [self.field.p] * (self.order - 1)
 
-    def element(self, i: int) -> VectorElement:
-        if not 0 <= i < self.order:
-            raise UnknownElement(f"id {i} out of range")
-        return VectorElement(self._vec[i])
-
-    def index(self, e: GroupElement) -> int:
-        if not isinstance(e, VectorElement):
-            raise UnknownElement(f"{e!r} is not a field vector")
-        f = self.field
-        if len(e.coeffs) != f.a or any(not 0 <= c < f.p for c in e.coeffs):
-            raise UnknownElement(f"{e!r} is not reduced for GF({f.p}^{f.a})")
-        return self._id_by_code[f.encode(e.coeffs)]
-
     def scalar_row(self, unit) -> list[int]:
         """Permutation of ids induced by multiplication by a fixed unit."""
         f = self.field
-        code = self._id_by_code
-        return [code[f.encode(f.mul(unit, v))] for v in self._vec]
+        return [f.encode(f.mul(unit, v)) for v in f.elements()]
 
     def __repr__(self) -> str:
         return f"F{self.field.p}^{self.field.a}+"
@@ -722,9 +648,10 @@ class _PairGroup(FiniteGroup):
     def _bfs(self, twist: Callable[[int, int], int]) -> None:
         """Enumerate by breadth-first right-multiplication by generators.
 
-        States are (left-id, right-id) pairs packed as left*|R| + right;
-        the pair coding commutes with composition, so discovery ranks
-        match the element-tree enumeration exactly.
+        States are (left-id, right-id) pairs packed as left*|R| + right.
+        The packed code only dedupes states, so the discovery ranks
+        depend on the Cayley graph and the generator order alone, not
+        on how the children label their elements.
         """
         nr = self._nr
         lcomp = self.left.compose
@@ -767,22 +694,6 @@ class _PairGroup(FiniteGroup):
 
     def id_of_pair(self, l: int, r: int) -> int:
         return self._id_of_code[l * self._nr + r]
-
-    def element(self, i: int) -> PairElement:
-        if not 0 <= i < self.order:
-            raise UnknownElement(f"id {i} out of range")
-        return PairElement(
-            self.left.element(self._l_of[i]), self.right.element(self._r_of[i])
-        )
-
-    def index(self, e: GroupElement) -> int:
-        if not isinstance(e, PairElement):
-            raise UnknownElement(f"{e!r} is not a pair element")
-        code = self.left.index(e.left) * self._nr + self.right.index(e.right)
-        i = self._id_of_code[code]
-        if i < 0:
-            raise UnknownElement("pair code missing from the table")
-        return i
 
 
 class DirectProductGroup(_PairGroup):
@@ -901,13 +812,33 @@ class QuotientGroup(FiniteGroup):
     def invert(self, i: int) -> int:
         return self._qid_of[self.parent.invert(self._rep[i])]
 
-    def element(self, i: int) -> GroupElement:
-        """The minimal coset representative's element tree."""
-        return self.parent.element(self._rep[i])
+    def _element_orders(self) -> list[int]:
+        """Least d with x^d in N, from the parent order o of each rep x.
 
-    def index(self, e: GroupElement) -> int:
-        """Qid of the coset containing the given parent element."""
-        return self._qid_of[self.parent.index(e)]
+        The exponents e with x^e in N are the multiples of d, and d | o,
+        so dividing each prime out of o while x^(o/l) stays in N ends at d.
+        """
+        comp = self.parent.compose
+        orders = self.parent.element_orders()
+        inside = self.normal.idset
+
+        def power(x: int, e: int) -> int:
+            out = 0
+            while e:
+                if e & 1:
+                    out = comp(out, x)
+                x = comp(x, x)
+                e >>= 1
+            return out
+
+        out = []
+        for x in self._rep:
+            o = orders[x]
+            for ell in prime_divisors(o):
+                while o % ell == 0 and power(x, o // ell) in inside:
+                    o //= ell
+            out.append(o)
+        return out
 
     def nat(self, parent_id: int) -> int:
         """The natural projection on ids."""

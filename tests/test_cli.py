@@ -1,15 +1,21 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 import time
+from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agroups import cli, constructions, groups, steinitz
 from agroups.cli import main, parse_group_spec
 from agroups.errors import BadParams, LatticeCapExceeded
 from agroups.groups import DEFAULT_ELEMENT_CAP, CyclicGroup
+from agroups.numtheory import multiplicative_order
 
 
 def run_cli(*args):
@@ -104,6 +110,32 @@ def test_oversized_number_is_refused_at_once(args, code):
     err = proc.stderr.decode()
     assert err.startswith("error: ") and err.count("\n") == 1
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize(
+    "n, code, bound", [(7919, 0, 5.0), (999983, 3, 1.0)], ids=["7919", "999983"]
+)
+def test_cyclic_semidirect_decompose_is_prompt(n, code, bound):
+    # 2n = 1999966 is over the default cap before any unit is searched.
+    start = time.perf_counter()
+    proc = run_cli("decompose", f"semidirect(cyclic({n}), cyclic(2), scalar(2))")
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == code, proc.stderr
+    assert elapsed < bound
+
+
+def test_smallest_unit_of_order_matches_the_order_scan():
+    for n in range(2, 120):
+        for m in range(1, 13):
+            units = [
+                u for u in range(1, n)
+                if gcd(u, n) == 1 and multiplicative_order(u, n) == m
+            ]
+            if units:
+                assert cli._smallest_unit_of_order(n, m) == units[0]
+            else:
+                with pytest.raises(BadParams):
+                    cli._smallest_unit_of_order(n, m)
 
 
 def test_search_at_its_bound_extends_the_1e6_listing(capsys):
@@ -328,3 +360,42 @@ def test_verify_fixture2_subprocess_exit_zero():
     assert report["order"] == 27378
     assert report["structure"]["centralizer_of_cr"]["order"] == 78
     assert report["steinitz"]["all_checks_pass"] is True
+
+
+_INT = st.integers(0, 12)
+_LEAF = st.one_of(
+    st.builds("cyclic({})".format, _INT),
+    st.builds("field({},{})".format, _INT, _INT),
+)
+_SPEC = st.one_of(
+    st.recursive(
+        _LEAF,
+        lambda sub: st.one_of(
+            st.builds("product({}, {})".format, sub, sub),
+            st.builds("semidirect({}, cyclic({}), scalar({}))".format, sub, _INT, _INT),
+        ),
+        max_leaves=4,
+    ),
+    st.builds("family({},{},{},{},{})".format, _INT, _INT, _INT, _INT, _INT),
+    st.builds("{},{},{},{},{}".format, _INT, _INT, _INT, _INT, _INT),
+)
+
+
+def quiet_main(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+        io.StringIO()
+    ):
+        return main(argv)
+
+
+@settings(max_examples=300)
+@given(spec=_SPEC, cap=st.sampled_from([500, 5000]), as_json=st.booleans())
+def test_random_specs_exit_with_a_documented_code(spec, cap, as_json):
+    argv = ["decompose", spec, "--cap", str(cap)] + ["--json"] * as_json
+    assert quiet_main(argv) in (0, 1, 2, 3)
+
+
+@settings(max_examples=300)
+@given(command=st.sampled_from(["decompose", "verify"]), text=st.text(max_size=40))
+def test_arbitrary_text_exits_with_a_documented_code(command, text):
+    assert quiet_main([command, text, "--cap", "5000"]) in (0, 1, 2, 3)

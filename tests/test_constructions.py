@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from agroups import (
@@ -76,6 +78,16 @@ def test_family_metadata(family1):
 def test_family_cap():
     with pytest.raises(SizeCapExceeded):
         build_family_group(FamilyParams(5, 2, 3, 2, 4), cap=4000)
+
+
+def test_family_cap_comes_before_primality():
+    # 10^25 + 13 is past exact Miller-Rabin, so validate() would trial-divide.
+    start = time.perf_counter()
+    with pytest.raises(SizeCapExceeded):
+        build_family_group(FamilyParams(10**25 + 13, 2, 3, 1, 1))
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(BadParams):
+        build_family_group(FamilyParams(5, 2, 3, 0, 4))
 
 
 def test_mirror_groups_share_order_statistics(family1):

@@ -13,11 +13,11 @@ from agroups import (
     PrimeDoesNotDivide,
     SemidirectProductGroup,
     SizeCapExceeded,
-    UnknownElement,
     field_semidirect,
+    make_field,
     trivial_action,
 )
-from agroups.groups import CyclicElement, PairElement
+from agroups.groups import FieldAddGroup
 
 from naive import naive_derived_ids
 
@@ -57,18 +57,6 @@ def test_inverses():
         for i in range(g.order):
             assert g.compose(i, g.invert(i)) == 0
             assert g.compose(g.invert(i), i) == 0
-
-
-def test_element_index_roundtrip():
-    for g in (C6, S3, V4):
-        for i in range(g.order):
-            assert g.index(g.element(i)) == i
-    with pytest.raises(UnknownElement):
-        C6.element(6)
-    with pytest.raises(UnknownElement):
-        C6.index(CyclicElement(17))
-    with pytest.raises(UnknownElement):
-        S3.index(CyclicElement(0))
 
 
 def test_cyclic_structure():
@@ -240,9 +228,37 @@ def test_pair_group_coordinates():
     for i in range(g.order):
         l, r = g.pair_of(i)
         assert g.id_of_pair(l, r) == i
-        e = g.element(i)
-        assert isinstance(e, PairElement)
-        assert g.index(e) == i
+
+
+def test_every_id_decodes_through_the_public_codecs():
+    # Cyclic leaf: the id is the residue.
+    for i in range(C6.order):
+        assert C6.compose(i, 1) == (i + 1) % 6
+        assert C6.invert(i) == -i % 6
+    # Field leaf: the id is the base-p code of the field element.
+    f = make_field(3, 2)
+    add = FieldAddGroup(f)
+    assert add.gens == (1, 3)
+    for i in range(add.order):
+        assert f.encode(f.decode(i)) == i
+        assert add.invert(i) == f.encode(f.neg(f.decode(i)))
+        for j in range(add.order):
+            assert add.compose(i, j) == f.encode(f.add(f.decode(i), f.decode(j)))
+    # Pair node: pair_of / id_of_pair.
+    g = field_semidirect(3, 2, 8)
+    assert sorted(g.id_of_pair(*g.pair_of(i)) for i in range(g.order)) == list(
+        range(g.order)
+    )
+    # Quotient: rep / nat, with qids in ascending order of the least rep.
+    q = g.quotient(g.derived_subgroup())
+    reps = [q.rep(k) for k in range(q.order)]
+    assert reps == sorted(reps)
+    for k in range(q.order):
+        assert q.nat(q.rep(k)) == k
+    for x in range(g.order):
+        assert q.rep(q.nat(x)) <= x
+        for y in range(g.order):
+            assert q.compose(q.nat(x), q.nat(y)) == q.nat(g.compose(x, y))
 
 
 def test_semidirect_flip_squares_to_identity():

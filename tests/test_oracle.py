@@ -12,6 +12,7 @@ from agroups import (
     field_semidirect,
     power_action,
 )
+from agroups.cli import failed_family_properties, verification_report
 
 from naive import (
     naive_centralizer,
@@ -99,3 +100,36 @@ def test_closure_matches_naive(group):
         ]
     for seed in seeds:
         assert list(group.closure(seed).ids) == naive_closure(group, seed)
+
+
+def mirror_invariants(params):
+    """Isomorphism invariants of a family group, free of id labels."""
+    group = build_family_group(params)
+    report = verification_report(group)
+    struct = report["structure"]
+    return {
+        "order": report["order"],
+        "derived_orders": struct["derived_orders"],
+        "sylow": sorted(
+            (r["prime"], r["order"], r["abelian"], r["normal"], r["exponent"])
+            for r in report["sylow"]
+        ),
+        "class_sizes": sorted(len(c) for c in group.conjugacy_classes()),
+        "steinitz": sorted(
+            (r["ell"], r["class_size"], r["case"])
+            for r in report["steinitz"]["rows"]
+        ),
+        "a_prime": report["a_prime"]["value"],
+        "centralizer_of_cr": struct["centralizer_of_cr"]["order"],
+        "failed": failed_family_properties(report),
+    }
+
+
+@pytest.mark.parametrize(
+    "text, mirror", [("5,2,3,2,4", "2,5,3,4,2"), ("2,7,3,6,1", "7,2,3,1,6")]
+)
+def test_mirror_pairs_agree_on_invariants(text, mirror):
+    # (p,q,r,a,b) and (q,p,r,b,a) build isomorphic groups whose ids differ.
+    params = FamilyParams.parse(text)
+    assert str(params.mirror()) == mirror
+    assert mirror_invariants(params) == mirror_invariants(params.mirror())
