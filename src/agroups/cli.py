@@ -55,7 +55,8 @@ EXIT_BAD_INPUT = 1
 EXIT_PROPERTY_FAILED = 2
 EXIT_RESOURCE = 3
 
-_INPUT_ERRORS = (BadParams, OrderDoesNotDivide, WrongOrder, MixedFields)
+# OSError covers an --out path that cannot be written.
+_INPUT_ERRORS = (BadParams, OrderDoesNotDivide, WrongOrder, MixedFields, OSError)
 _PROPERTY_ERRORS = (NotAGroup, TooManyPrimes, DecompositionInvariantFailed)
 _CAP_ERRORS = (SizeCapExceeded, LatticeCapExceeded)
 

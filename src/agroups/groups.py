@@ -11,6 +11,11 @@ depend on that graph and order alone, not on the children's labels
 (pair_of and id_of_pair translate).  Quotient ids follow the least coset
 representative in ascending order (rep and nat translate).
 
+Each node's compose is one closure, bound in its constructor over that
+node's own tables (the children's compose, the pair tables, the action
+rows or the coset tables); _finish() swaps it for a dense table when the
+order is at most _TABLE_LIMIT.  A field leaf adds codes digit by digit.
+
 All queries after construction are pure.  Caches (element orders,
 conjugacy classes, Sylow subgroups, the normal lattice) are filled
 idempotently, so concurrent readers can at worst duplicate work.
@@ -23,11 +28,11 @@ Algorithm notes, since several follow less-travelled routes:
   to its square.
 - Subgroup products never materialize all pairs; membership tests go
   through per-subgroup frozensets.
-- Verification of action/automorphism laws checks every generator
-  against every element.  That is a complete proof, not a sample: the
-  set of elements satisfying a one-sided homomorphism law against all
-  partners is closed under products, so containing the generators
-  forces it to be the whole group.
+- Action verification checks functoriality first: once rows[g1 g2] =
+  rows[g1] o rows[g2] for generators g1 and all g2, every row is a
+  product of generator rows, so only those must be automorphisms.  Each
+  one's homomorphism law is checked at every kernel generator against
+  every element, a proof since the elements obeying it form a subgroup.
 - element_orders() reads orders off the construction tree instead of
   powering every element: ord(i) = n / gcd(i, n) in C_n, p off the
   identity in GF(p^a)+, lcm(ord l, ord r) in a direct pair, and in a
@@ -117,21 +122,8 @@ class Subgroup:
         return _generators_commute(self.group.compose, self.gens)
 
     def is_normal(self) -> bool:
-        """Conjugate the generators by the ambient generators.
-
-        Conjugation by g maps this subgroup into itself iff it maps the
-        generators into it, and invariance under generating conjugations
-        extends to the whole ambient group.
-        """
-        G = self.group
-        comp = G.compose
-        inside = self.idset
-        for g in G.gens:
-            gi = G.invert(g)
-            for s in self.gens:
-                if comp(comp(g, s), gi) not in inside:
-                    return False
-        return True
+        """Normal iff every ambient generator normalizes it (conjugations compose)."""
+        return all(self.group.normalizes(g, self) for g in self.group.gens)
 
 
 class Action:
@@ -169,37 +161,36 @@ class Action:
         return self.rows[g][h]
 
     def _verify(self) -> None:
+        """Functoriality first, then the automorphism laws on generator rows."""
         nk = self.kernel.order
         rows = self.rows
         if len(rows) != self.acting.order or any(len(r) != nk for r in rows):
             raise InvalidAction("table shape does not match the groups")
-        for g, row in enumerate(rows):
-            if row[0] != 0:
-                raise InvalidAction(f"row {g} moves the identity")
-            if len(set(row)) != nk or min(row) < 0 or max(row) >= nk:
-                raise InvalidAction(f"row {g} is not a bijection of the kernel")
-        if rows and any(rows[0][h] != h for h in range(nk)):
+        if any(min(r) < 0 or max(r) >= nk for r in rows):
+            raise InvalidAction("a row leaves the kernel's id range")
+        if any(rows[0][h] != h for h in range(nk)):
             raise InvalidAction("identity row is not the identity map")
-        kcomp = self.kernel.compose
-        for g, row in enumerate(rows):
-            for k in self.kernel.gens:
-                rk = row[k]
-                for h in range(nk):
-                    if row[kcomp(k, h)] != kcomp(rk, row[h]):
-                        raise InvalidAction(
-                            f"row {g} fails the homomorphism law at generator {k}"
-                        )
         acomp = self.acting.compose
         for g1 in self.acting.gens:
             r1 = rows[g1]
-            for g2 in range(len(rows)):
-                r2 = rows[g2]
-                r12 = rows[acomp(g1, g2)]
-                for h in range(nk):
-                    if r12[h] != r1[r2[h]]:
-                        raise InvalidAction(
-                            f"rows at {g1}*{g2} do not compose functorially"
-                        )
+            for g2, r2 in enumerate(rows):
+                if list(rows[acomp(g1, g2)]) != [r1[h] for h in r2]:
+                    raise InvalidAction(
+                        f"rows at {g1}*{g2} do not compose functorially"
+                    )
+        kcomp = self.kernel.compose
+        for g in self.acting.gens:
+            row = rows[g]
+            if row[0] != 0:
+                raise InvalidAction(f"row {g} moves the identity")
+            if len(set(row)) != nk:
+                raise InvalidAction(f"row {g} is not a bijection of the kernel")
+            for k in self.kernel.gens:
+                rk = row[k]
+                if any(row[kcomp(k, h)] != kcomp(rk, row[h]) for h in range(nk)):
+                    raise InvalidAction(
+                        f"row {g} fails the homomorphism law at generator {k}"
+                    )
 
 
 def trivial_action(kernel: "FiniteGroup", acting: "FiniteGroup") -> Action:
@@ -228,7 +219,8 @@ class FiniteGroup:
 
     # -- primitive layer -------------------------------------------------
 
-    def _compose_ids(self, i: int, j: int) -> int:
+    def compose(self, i: int, j: int) -> int:
+        """The id of i·j; each constructor binds a closure over its own tables."""
         raise NotImplementedError
 
     def invert(self, i: int) -> int:
@@ -241,16 +233,11 @@ class FiniteGroup:
             )
 
     def _finish(self) -> None:
-        """Install the fast composition path; call at the end of __init__."""
+        """Swap the compose closure for a dense table; call at the end of __init__."""
         if self.order <= _TABLE_LIMIT:
-            base = self._compose_ids
+            base = self.compose
             tab = [[base(i, j) for j in range(self.order)] for i in range(self.order)]
-            self.compose = lambda i, j, _t=tab: _t[i][j]  # type: ignore[assignment]
-        else:
-            self.compose = self._compose_ids  # type: ignore[assignment]
-
-    def compose(self, i: int, j: int) -> int:  # overwritten by _finish
-        return self._compose_ids(i, j)
+            self.compose = lambda i, j: tab[i][j]
 
     # -- enumeration helpers ---------------------------------------------
 
@@ -359,17 +346,22 @@ class FiniteGroup:
     def center(self) -> Subgroup:
         return self.centralizer(self.whole_subgroup())
 
-    def normalizer(self, target: Subgroup) -> Subgroup:
-        """Elements g with g·S·g^-1 = S, tested on S's generators."""
+    def normalizes(self, g: int, sub: Subgroup) -> bool:
+        """Whether g·S·g^-1 ⊆ S (so = S), tested on S's generators.
+
+        Conjugation by g is an automorphism, so it maps S into S iff it
+        maps S's generators into S.
+        """
         comp = self.compose
-        inside = target.idset
-        sgens = target.gens
-        ids = []
-        for g in range(self.order):
-            gi = self.invert(g)
-            if all(comp(comp(g, s), gi) in inside for s in sgens):
-                ids.append(g)
-        return self._subgroup_from_ids(ids)
+        gi = self.invert(g)
+        inside = sub.idset
+        return all(comp(comp(g, s), gi) in inside for s in sub.gens)
+
+    def normalizer(self, target: Subgroup) -> Subgroup:
+        """Elements g with g·S·g^-1 = S."""
+        return self._subgroup_from_ids(
+            [g for g in range(self.order) if self.normalizes(g, target)]
+        )
 
     def derived_subgroup(self, sub: Subgroup | None = None) -> Subgroup:
         """Commutator subgroup of sub (default: of the whole group).
@@ -546,7 +538,6 @@ class FiniteGroup:
             if o > best and is_prime_power_of(o, ell):
                 best = o
                 seed = i
-        comp = self.compose
         p = self.closure((seed,))
         while p.order < target:
             inside = p.idset
@@ -554,8 +545,7 @@ class FiniteGroup:
             for y in range(self.order):
                 if y in inside or not is_prime_power_of(orders[y], ell):
                     continue
-                yi = self.invert(y)
-                if all(comp(comp(y, s), yi) in inside for s in p.gens):
+                if self.normalizes(y, p):
                     ext = y
                     break
             if ext < 0:
@@ -582,10 +572,8 @@ class CyclicGroup(FiniteGroup):
         self.n = n
         self.order = n
         self.gens = (1,) if n > 1 else ()
+        self.compose = lambda i, j: (i + j) % n
         self._finish()
-
-    def _compose_ids(self, i: int, j: int) -> int:
-        return (i + j) % self.n
 
     def invert(self, i: int) -> int:
         return (-i) % self.n
@@ -610,16 +598,22 @@ class FieldAddGroup(FiniteGroup):
         self._check_cap(field.order)
         self.field = field
         self.order = field.order
-        self.gens = tuple(field.p**k for k in range(field.a))
+        p = field.p
+        self.gens = gens = tuple(p**k for k in range(field.a))
+
+        def compose(i: int, j: int) -> int:
+            # Digit k of a code c is c // p^k mod p; add digit by digit.
+            out = 0
+            for w in gens:
+                out += (i // w + j // w) % p * w
+            return out
+
+        self.compose = compose
         self._finish()
 
-    def _compose_ids(self, i: int, j: int) -> int:
-        f = self.field
-        return f.encode(f.add(f.decode(i), f.decode(j)))
-
     def invert(self, i: int) -> int:
-        f = self.field
-        return f.encode(f.neg(f.decode(i)))
+        p = self.field.p
+        return sum(-(i // w) % p * w for w in self.gens)
 
     def _element_orders(self) -> list[int]:
         return [1] + [self.field.p] * (self.order - 1)
@@ -645,13 +639,14 @@ class _PairGroup(FiniteGroup):
         self.order = predicted
         self._nr = right.order
 
-    def _bfs(self, twist: Callable[[int, int], int]) -> None:
+    def _bfs(self, twist: Callable[[int, int], int]) -> tuple[list[int], ...]:
         """Enumerate by breadth-first right-multiplication by generators.
 
         States are (left-id, right-id) pairs packed as left*|R| + right.
         The packed code only dedupes states, so the discovery ranks
         depend on the Cayley graph and the generator order alone, not
-        on how the children label their elements.
+        on how the children label their elements.  Stores and returns
+        the tables l_of, r_of and id_of_code.
         """
         nr = self._nr
         lcomp = self.left.compose
@@ -688,6 +683,7 @@ class _PairGroup(FiniteGroup):
                 id_of_code[gl * nr + gr] for gl, gr in gen_pairs
             )
         )
+        return l_of, r_of, id_of_code
 
     def pair_of(self, i: int) -> tuple[int, int]:
         return self._l_of[i], self._r_of[i]
@@ -703,13 +699,12 @@ class DirectProductGroup(_PairGroup):
         self, left: FiniteGroup, right: FiniteGroup, cap: int = DEFAULT_ELEMENT_CAP
     ):
         super().__init__(left, right, cap)
-        self._bfs(lambda r, gl: gl)
+        l_of, r_of, id_of_code = self._bfs(lambda r, gl: gl)
+        lcomp, rcomp, nr = left.compose, right.compose, self._nr
+        self.compose = lambda i, j: id_of_code[
+            lcomp(l_of[i], l_of[j]) * nr + rcomp(r_of[i], r_of[j])
+        ]
         self._finish()
-
-    def _compose_ids(self, i: int, j: int) -> int:
-        l = self.left.compose(self._l_of[i], self._l_of[j])
-        r = self.right.compose(self._r_of[i], self._r_of[j])
-        return self._id_of_code[l * self._nr + r]
 
     def invert(self, i: int) -> int:
         l = self.left.invert(self._l_of[i])
@@ -740,13 +735,12 @@ class SemidirectProductGroup(_PairGroup):
         super().__init__(kernel, acting, cap)
         self.action = action
         rows = action.rows
-        self._bfs(lambda r, gl: rows[r][gl])
+        l_of, r_of, id_of_code = self._bfs(lambda r, gl: rows[r][gl])
+        lcomp, rcomp, nr = kernel.compose, acting.compose, self._nr
+        self.compose = lambda i, j: id_of_code[
+            lcomp(l_of[i], rows[r_of[i]][l_of[j]]) * nr + rcomp(r_of[i], r_of[j])
+        ]
         self._finish()
-
-    def _compose_ids(self, i: int, j: int) -> int:
-        l = self.left.compose(self._l_of[i], self.action.rows[self._r_of[i]][self._l_of[j]])
-        r = self.right.compose(self._r_of[i], self._r_of[j])
-        return self._id_of_code[l * self._nr + r]
 
     def invert(self, i: int) -> int:
         r = self.right.invert(self._r_of[i])
@@ -804,10 +798,8 @@ class QuotientGroup(FiniteGroup):
         self.gens = tuple(
             dict.fromkeys(q for q in (qid_of[g] for g in parent.gens) if q != 0)
         )
+        self.compose = lambda i, j: qid_of[comp(reps[i], reps[j])]
         self._finish()
-
-    def _compose_ids(self, i: int, j: int) -> int:
-        return self._qid_of[self.parent.compose(self._rep[i], self._rep[j])]
 
     def invert(self, i: int) -> int:
         return self._qid_of[self.parent.invert(self._rep[i])]

@@ -6,6 +6,7 @@ probes through `agroups.cli`.  A rename or deletion in the package would
 break `perfbench/run.py --trace 1` without failing any other test.
 """
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -54,6 +55,9 @@ def test_node_types_resolve(hooks):
     for name in child.NODE_TYPES:
         assert issubclass(getattr(agroups.groups, name), FiniteGroup), name
     assert callable(vars(FiniteGroup)["_finish"])
+    # child.py times the instance compose of each node and wraps _finish(self).
+    assert callable(vars(FiniteGroup)["compose"])
+    assert list(inspect.signature(FiniteGroup._finish).parameters) == ["self"]
 
 
 def test_setup_probe_names_resolve():

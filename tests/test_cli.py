@@ -112,6 +112,16 @@ def test_oversized_number_is_refused_at_once(args, code):
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_out_path_is_bad_input(tmp_path, target):
+    out = tmp_path / "absent" / "x.txt" if target == "missing-dir" else tmp_path
+    proc = run_cli("search", "--max-order", "100000", "--out", str(out))
+    assert proc.returncode == 1
+    err = proc.stderr.decode()
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "n, code, bound", [(7919, 0, 5.0), (999983, 3, 1.0)], ids=["7919", "999983"]
 )

@@ -235,15 +235,17 @@ def test_every_id_decodes_through_the_public_codecs():
     for i in range(C6.order):
         assert C6.compose(i, 1) == (i + 1) % 6
         assert C6.invert(i) == -i % 6
-    # Field leaf: the id is the base-p code of the field element.
-    f = make_field(3, 2)
-    add = FieldAddGroup(f)
-    assert add.gens == (1, 3)
-    for i in range(add.order):
-        assert f.encode(f.decode(i)) == i
-        assert add.invert(i) == f.encode(f.neg(f.decode(i)))
-        for j in range(add.order):
-            assert add.compose(i, j) == f.encode(f.add(f.decode(i), f.decode(j)))
+    # Field leaf: the id is the base-p code of the field element.  GF(243)
+    # is above the table limit, so its compose is the digit-wise closure.
+    for p, a in [(3, 2), (2, 3), (3, 5)]:
+        f = make_field(p, a)
+        add = FieldAddGroup(f)
+        assert add.gens == tuple(p**k for k in range(a))
+        for i in range(add.order):
+            assert f.encode(f.decode(i)) == i
+            assert add.invert(i) == f.encode(f.neg(f.decode(i)))
+            for j in range(add.order):
+                assert add.compose(i, j) == f.encode(f.add(f.decode(i), f.decode(j)))
     # Pair node: pair_of / id_of_pair.
     g = field_semidirect(3, 2, 8)
     assert sorted(g.id_of_pair(*g.pair_of(i)) for i in range(g.order)) == list(
@@ -288,6 +290,17 @@ def test_action_must_respect_acting_composition():
         Action.tabulate(
             kernel, acting, lambda t, d: (d * pow(2, min(t, 1), 5)) % 5
         )
+
+
+def test_action_rejects_a_bijective_row_off_the_generator_products():
+    # Row 2 of x -> 2^t x on C5 should be x -> 4x; a bijection that is
+    # not the square of row 1 must fail functoriality.
+    kernel = CyclicGroup(5)
+    acting = CyclicGroup(4)
+    rows = [[pow(2, t, 5) * h % 5 for h in range(5)] for t in range(4)]
+    rows[2] = [0, 2, 1, 3, 4]
+    with pytest.raises(InvalidAction):
+        Action(kernel, acting, rows)
 
 
 def test_trivial_action_gives_direct_product_structure():
