@@ -12,6 +12,7 @@ import argparse
 import json
 import re
 import sys
+from dataclasses import asdict
 
 from .classify import (
     direct_factor_pairs,
@@ -106,16 +107,7 @@ def verification_report(group: FiniteGroup) -> dict:
                 "matches_coordinate_subgroup": centralizer.ids == gamma,
             },
         },
-        "sylow": [
-            {
-                "prime": row.prime,
-                "order": row.order,
-                "abelian": row.abelian,
-                "normal": row.normal,
-                "exponent": row.exponent,
-            }
-            for row in struct.sylow
-        ],
+        "sylow": [asdict(row) for row in struct.sylow],
         "factorizations": [[a.order, b.order] for a, b in pairs],
         "a_prime": {"value": recognizer.value, "trace": recognizer.trace},
         "steinitz": {
@@ -127,17 +119,11 @@ def verification_report(group: FiniteGroup) -> dict:
             ],
             "rows": [
                 {
-                    "ell": r.ell,
-                    "class_rep": r.class_rep,
-                    "class_size": r.class_size,
-                    "case": r.case,
-                    "normalizer_equals_centralizer": r.normalizer_equals_centralizer,
-                    "in_kernel": r.in_kernel,
+                    **asdict(r),
                     "exponent": {
                         "num": r.exponent.numerator,
                         "den": r.exponent.denominator,
                     },
-                    "absorbed": r.absorbed,
                 }
                 for r in stz.rows
             ],

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import BadParams, NonPrime, NotFamilyGroup, SizeCapExceeded, WrongOrder
-from .fields import FieldElement, FieldSpec, element_of_order, make_field
+from .fields import FieldSpec, element_of_order, make_field
 from .groups import (
     Action,
     CyclicGroup,
@@ -37,21 +37,22 @@ MAX_SEARCH_ORDER = 10**12
 
 
 def power_action(
-    kernel: FieldAddGroup | CyclicGroup, acting: CyclicGroup, unit
+    kernel: FieldAddGroup | CyclicGroup, acting: CyclicGroup, unit: int
 ) -> Action:
     """Action where acting residue e multiplies the kernel by unit^e.
 
     The unit's multiplicative order must divide the acting order, so the
-    exponent map is well defined on residues.  Field kernels take a
-    field-element unit; cyclic kernels take an integer unit coprime to n.
+    exponent map is well defined on residues.  The unit is an int: a
+    field element for field kernels, a residue coprime to n for cyclic
+    ones.
     """
     if isinstance(kernel, FieldAddGroup):
         f = kernel.field
-        u = f.element(unit)
-        d = f.multiplicative_order(u)
+        d = f.multiplicative_order(unit)
 
         def row(e: int) -> list[int]:
-            return kernel.scalar_row(f.pow(u, e))
+            s = f.pow(unit, e)
+            return [f.mul(s, h) for h in range(f.order)]
     elif isinstance(kernel, CyclicGroup):
         n = kernel.n
         d = multiplicative_order(unit, n)
@@ -67,7 +68,7 @@ def power_action(
 
 
 def scalar_action(
-    field_group: FieldAddGroup, acting: CyclicGroup, unit: FieldElement
+    field_group: FieldAddGroup, acting: CyclicGroup, unit: int
 ) -> Action:
     """Faithful scalar action: the unit's order must equal the acting order."""
     d = field_group.field.multiplicative_order(unit)

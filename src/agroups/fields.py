@@ -1,10 +1,12 @@
 """Exact arithmetic in finite fields GF(p^a).
 
 A field is described by a `FieldSpec`: characteristic p, degree a, and a
-monic irreducible modulus polynomial of degree a over Z_p.  Field elements
-are bare coefficient tuples of length a, constant term first, every entry
-reduced mod p.  All operations are pure functions of (spec, operands), so
-specs and elements can be shared freely.
+monic irreducible modulus polynomial of degree a over Z_p.  A field
+element is its base-p code, an int 0 <= x < p^a: coefficient k of the
+polynomial (constant term k = 0) is digit k of the code.  Every
+operation takes and returns codes; encode and decode convert to and from
+coefficient tuples.  All operations are pure functions of (spec,
+operands), so specs and elements can be shared freely.
 
 The modulus is chosen deterministically: degree-a monic candidates are
 scanned in ascending order of their lower-coefficient tuple encoded as a
@@ -15,8 +17,8 @@ the desk-scale fields this library builds.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 from .errors import (
     BadParams,
@@ -25,11 +27,7 @@ from .errors import (
     OrderDoesNotDivide,
     SizeCapExceeded,
 )
-from .numtheory import is_prime, prime_divisors
-
-FieldElement = tuple[int, ...]
-
-DEFAULT_FIELD_CAP = 10**6
+from .numtheory import DEFAULT_ELEMENT_CAP, is_prime, prime_divisors
 
 
 def _decode_poly(code: int, length: int, p: int) -> tuple[int, ...]:
@@ -69,113 +67,103 @@ class FieldSpec:
     """A concrete GF(p^a) with an explicit modulus polynomial.
 
     modulus has length a + 1, is monic, and is irreducible over Z_p.
+    Elements are codes 0 <= x < order; an operand outside that range
+    raises MixedFields.
     """
 
     p: int
     a: int
     modulus: tuple[int, ...]
+    order: int = field(init=False, compare=False, repr=False)
+    # Digit k of a code c is c // p^k mod p.
+    _weights: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
-    @property
-    def order(self) -> int:
-        return self.p**self.a
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "order", self.p**self.a)
+        object.__setattr__(self, "_weights", tuple(self.p**k for k in range(self.a)))
 
-    def zero(self) -> FieldElement:
-        return (0,) * self.a
+    def _check(self, x: int) -> None:
+        if not 0 <= x < self.order:
+            raise MixedFields(f"{x} is not an element code of GF({self.p}^{self.a})")
 
-    def one(self) -> FieldElement:
-        return (1,) + (0,) * (self.a - 1)
-
-    def element(self, coeffs: Sequence[int]) -> FieldElement:
-        """Build a field element, reducing each coefficient mod p."""
+    def encode(self, coeffs: Sequence[int]) -> int:
+        """Code of coefficients, constant term first, each reduced mod p."""
         if len(coeffs) != self.a:
             raise MixedFields(
                 f"expected {self.a} coefficients, got {len(coeffs)}"
             )
-        return tuple(c % self.p for c in coeffs)
-
-    def _check(self, x: FieldElement) -> None:
-        if len(x) != self.a:
-            raise MixedFields(
-                f"operand of length {len(x)} does not live in GF({self.p}^{self.a})"
-            )
-
-    def encode(self, x: FieldElement) -> int:
-        """Base-p integer encoding, constant term least significant."""
-        self._check(x)
+        p = self.p
         code = 0
-        for c in reversed(x):
-            code = code * self.p + c
+        for c in reversed(coeffs):
+            code = code * p + c % p
         return code
 
-    def decode(self, code: int) -> FieldElement:
-        if not 0 <= code < self.order:
-            raise MixedFields(f"encoding {code} out of range for order {self.order}")
+    def decode(self, code: int) -> tuple[int, ...]:
+        """Coefficient tuple of a code, constant term first."""
+        self._check(code)
         return _decode_poly(code, self.a, self.p)
 
-    def elements(self) -> Iterator[FieldElement]:
-        """All elements in ascending encoding order."""
-        for code in range(self.order):
-            yield _decode_poly(code, self.a, self.p)
-
-    def add(self, x: FieldElement, y: FieldElement) -> FieldElement:
-        self._check(x)
-        self._check(y)
+    def add(self, x: int, y: int) -> int:
+        n = self.order
+        if not (0 <= x < n and 0 <= y < n):
+            raise MixedFields(f"operands {x}, {y} outside GF({self.p}^{self.a})")
         p = self.p
-        return tuple((u + v) % p for u, v in zip(x, y))
+        out = 0
+        for w in self._weights:
+            out += (x // w + y // w) % p * w
+        return out
 
-    def neg(self, x: FieldElement) -> FieldElement:
+    def neg(self, x: int) -> int:
         self._check(x)
         p = self.p
-        return tuple(-u % p for u in x)
+        return sum(-(x // w) % p * w for w in self._weights)
 
-    def sub(self, x: FieldElement, y: FieldElement) -> FieldElement:
+    def sub(self, x: int, y: int) -> int:
         return self.add(x, self.neg(y))
 
-    def mul(self, x: FieldElement, y: FieldElement) -> FieldElement:
-        self._check(x)
-        self._check(y)
+    def mul(self, x: int, y: int) -> int:
+        """Product of the decoded polynomials, reduced modulo the modulus."""
         p, a = self.p, self.a
+        ys = self.decode(y)
         prod = [0] * (2 * a - 1)
-        for i, xi in enumerate(x):
+        for i, xi in enumerate(self.decode(x)):
             if xi:
-                for j, yj in enumerate(y):
+                for j, yj in enumerate(ys):
                     prod[i + j] = (prod[i + j] + xi * yj) % p
-        return tuple(_poly_rem(prod, self.modulus, p))
+        return self.encode(_poly_rem(prod, self.modulus, p))
 
-    def inv(self, x: FieldElement) -> FieldElement:
+    def inv(self, x: int) -> int:
         """Multiplicative inverse via x^(q-2); raises on zero."""
-        self._check(x)
-        if not any(x):
+        if x == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
         return self.pow(x, self.order - 2)
 
-    def pow(self, x: FieldElement, e: int) -> FieldElement:
+    def pow(self, x: int, e: int) -> int:
         """x^e by square and multiply; negative e allowed for nonzero x."""
         self._check(x)
         if e < 0:
             x = self.inv(x)
             e = -e
-        out = self.one()
-        base = x
+        out = 1
         while e:
             if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
+                out = self.mul(out, x)
+            x = self.mul(x, x)
             e >>= 1
         return out
 
-    def multiplicative_order(self, x: FieldElement) -> int:
+    def multiplicative_order(self, x: int) -> int:
         self._check(x)
-        if not any(x):
+        if x == 0:
             raise ZeroDivisionError("zero is not in the multiplicative group")
         o = self.order - 1
         for ell in prime_divisors(o) if o > 1 else ():
-            while o % ell == 0 and self.pow(x, o // ell) == self.one():
+            while o % ell == 0 and self.pow(x, o // ell) == 1:
                 o //= ell
         return o
 
 
-def make_field(p: int, a: int, cap: int = DEFAULT_FIELD_CAP) -> FieldSpec:
+def make_field(p: int, a: int, cap: int = DEFAULT_ELEMENT_CAP) -> FieldSpec:
     """GF(p^a) with the first irreducible monic modulus in encoding order."""
     if a < 1:
         raise BadParams(f"degree a = {a} must be positive")
@@ -192,16 +180,16 @@ def make_field(p: int, a: int, cap: int = DEFAULT_FIELD_CAP) -> FieldSpec:
     raise AssertionError("no irreducible polynomial found; unreachable")
 
 
-def canonical_generator(F: FieldSpec) -> FieldElement:
-    """First element, in ascending encoding order, of order p^a - 1."""
+def canonical_generator(F: FieldSpec) -> int:
+    """Least code of multiplicative order p^a - 1."""
     target = F.order - 1
-    for x in F.elements():
-        if any(x) and F.multiplicative_order(x) == target:
+    for x in range(1, F.order):
+        if F.multiplicative_order(x) == target:
             return x
     raise AssertionError("multiplicative group has no generator; unreachable")
 
 
-def element_of_order(F: FieldSpec, m: int) -> FieldElement:
+def element_of_order(F: FieldSpec, m: int) -> int:
     """Deterministic unit of exact multiplicative order m."""
     q1 = F.order - 1
     if m < 1 or q1 % m != 0:

@@ -4,17 +4,17 @@ Groups are built as construction trees (cyclic leaves, field-additive
 leaves, direct and semidirect pair nodes, quotients) and enumerated up
 front.  Every element is a dense integer id; id 0 is the identity.
 Leaves are their own coordinates: a cyclic id is its residue and a field
-id is its element's base-p code (FieldSpec.decode reads it back).  Pair
-ids are breadth-first discovery ranks over the Cayley graph, from the
-identity by right-multiplying with the generators in a fixed order; they
-depend on that graph and order alone, not on the children's labels
-(pair_of and id_of_pair translate).  Quotient ids follow the least coset
+id is the field element itself, its base-p code.  Pair ids are
+breadth-first discovery ranks over the Cayley graph, from the identity
+by right-multiplying with the generators in a fixed order; they depend
+on that graph and order alone, not on the children's labels (pair_of and
+id_of_pair translate).  Quotient ids follow the least coset
 representative in ascending order (rep and nat translate).
 
 Each node's compose is one closure, bound in its constructor over that
 node's own tables (the children's compose, the pair tables, the action
 rows or the coset tables); _finish() swaps it for a dense table when the
-order is at most _TABLE_LIMIT.  A field leaf adds codes digit by digit.
+order is at most _TABLE_LIMIT.  A field leaf's compose is FieldSpec.add.
 
 All queries after construction are pure.  Caches (element orders,
 conjugacy classes, Sylow subgroups, the normal lattice) are filled
@@ -61,9 +61,14 @@ from .errors import (
     SizeCapExceeded,
 )
 from .fields import FieldSpec
-from .numtheory import is_prime, is_prime_power_of, p_part, prime_divisors
+from .numtheory import (
+    DEFAULT_ELEMENT_CAP,
+    is_prime,
+    is_prime_power_of,
+    p_part,
+    prime_divisors,
+)
 
-DEFAULT_ELEMENT_CAP = 10**6
 # normal_subgroups raises LatticeCapExceeded past this many subgroups.
 LATTICE_CAP = 10**4
 
@@ -587,10 +592,10 @@ class CyclicGroup(FiniteGroup):
 
 
 class FieldAddGroup(FiniteGroup):
-    """Additive group of a finite field; an id is its element's base-p code.
+    """Additive group of a finite field; an id is the field element itself.
 
-    The generators are the codes 1, p, ..., p^(a-1) of the coefficient
-    basis, and field.decode(i) reads an id back as a coefficient tuple.
+    The leaf composes with field.add and inverts with field.neg.  The
+    generators are the codes 1, p, ..., p^(a-1) of the coefficient basis.
     """
 
     def __init__(self, field: FieldSpec, cap: int = DEFAULT_ELEMENT_CAP):
@@ -598,30 +603,15 @@ class FieldAddGroup(FiniteGroup):
         self._check_cap(field.order)
         self.field = field
         self.order = field.order
-        p = field.p
-        self.gens = gens = tuple(p**k for k in range(field.a))
-
-        def compose(i: int, j: int) -> int:
-            # Digit k of a code c is c // p^k mod p; add digit by digit.
-            out = 0
-            for w in gens:
-                out += (i // w + j // w) % p * w
-            return out
-
-        self.compose = compose
+        self.gens = tuple(field.p**k for k in range(field.a))
+        self.compose = field.add
         self._finish()
 
     def invert(self, i: int) -> int:
-        p = self.field.p
-        return sum(-(i // w) % p * w for w in self.gens)
+        return self.field.neg(i)
 
     def _element_orders(self) -> list[int]:
         return [1] + [self.field.p] * (self.order - 1)
-
-    def scalar_row(self, unit) -> list[int]:
-        """Permutation of ids induced by multiplication by a fixed unit."""
-        f = self.field
-        return [f.encode(f.mul(unit, v)) for v in f.elements()]
 
     def __repr__(self) -> str:
         return f"F{self.field.p}^{self.field.a}+"
@@ -664,8 +654,8 @@ class _PairGroup(FiniteGroup):
             r1 = r_of[qi]
             qi += 1
             for gl, gr in gen_pairs:
-                l = lcomp(l1, twist(r1, gl))
-                r = rcomp(r1, gr)
+                l = lcomp(l1, twist(r1, gl)) if gl else l1
+                r = rcomp(r1, gr) if gr else r1
                 code = l * nr + r
                 if id_of_code[code] < 0:
                     id_of_code[code] = len(l_of)

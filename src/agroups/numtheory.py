@@ -12,6 +12,8 @@ _MR_EXACT_BELOW = 3317044064679887385961981
 # _MR_EXACT_BELOW, so their primality test is exact and fast, and no
 # enumerable group comes near 10^24 elements.
 MAX_INPUT_DIGITS = 24
+# Default bound on enumerated elements; a field of order p^a is a leaf of p^a.
+DEFAULT_ELEMENT_CAP = 10**6
 
 
 def is_prime(n: int) -> bool:

@@ -83,13 +83,13 @@ def family_projection(group: FiniteGroup) -> FamilyProjection:
         sum(1 for v in pi if v == 0) == kernel.order
     )
     record["retraction_fixes_complement"] = all(pi[i] == i for i in complement.ids)
-    # pi(g x) = pi(g) pi(x) for generators g and arbitrary x extends to
-    # all g: the set of g satisfying the law against every x is closed
-    # under products.
+    # The checks above give G = K : C, so each x is k c uniquely and
+    # x -> c is a homomorphism; pi is that map iff x pi(x)^-1 lies in K.
     comp = group.compose
+    c_inv = {c: group.invert(c) for c in complement.ids}
+    k_ids = kernel.idset
     record["retraction_is_homomorphism"] = all(
-        pi[comp(g, x)] == comp(pi[g], pi[x])
-        for g in group.gens
+        pi[x] in c_inv and comp(x, c_inv[pi[x]]) in k_ids
         for x in range(group.order)
     )
     bad = [name for name, ok in record.items() if not ok]

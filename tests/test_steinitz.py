@@ -48,7 +48,7 @@ def test_projection_is_retraction_homomorphism(family1):
     )
 
 
-CORRUPT_PROJECTION = """
+OPTIMIZED_PROJECTION = """
 import sys
 from agroups import DecompositionInvariantFailed, FamilyParams, build_family_group
 from agroups import constructions, steinitz
@@ -56,8 +56,7 @@ from agroups import constructions, steinitz
 if not sys.flags.optimize:
     sys.exit("not running under -O")
 group = build_family_group(FamilyParams(5, 2, 3, 2, 4))
-# Hand the projection the complement as its kernel: closed, but wrong.
-steinitz.kernel_coordinate_ids = constructions.gamma_coordinate_ids
+{corruption}
 try:
     steinitz.family_projection(group)
 except DecompositionInvariantFailed as exc:
@@ -67,16 +66,43 @@ else:
 """
 
 
-def test_projection_checks_survive_optimize():
+def run_corrupted_projection(corruption):
+    """stdout of family_projection on family 1 under python -O after corruption."""
+    script = OPTIMIZED_PROJECTION.format(corruption=corruption)
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", CORRUPT_PROJECTION],
+        [sys.executable, "-O", "-c", script],
         capture_output=True,
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr.decode()
-    out = proc.stdout.decode()
+    return proc.stdout.decode()
+
+
+def test_projection_checks_survive_optimize():
+    # Hand the projection the complement as its kernel: closed, but wrong.
+    out = run_corrupted_projection(
+        "steinitz.kernel_coordinate_ids = constructions.gamma_coordinate_ids"
+    )
     assert out.startswith("projection checks failed: kernel_order,")
     assert "kernel_times_complement_covers_group" in out
+
+
+SWAP_RETRACTION = """
+pi = list(constructions.complement_retraction(group))
+inside = set(constructions.kernel_coordinate_ids(group))
+inside |= set(constructions.gamma_coordinate_ids(group))
+x = next(i for i in range(group.order) if i not in inside)
+y = next(i for i in range(x + 1, group.order) if i not in inside and pi[i] != pi[x])
+pi[x], pi[y] = pi[y], pi[x]
+steinitz.complement_retraction = lambda g: tuple(pi)
+"""
+
+
+def test_swapped_retraction_fails_only_the_homomorphism_check():
+    # Same image set, kernel and fixed complement: only the coset
+    # identity x pi(x)^-1 in K can catch the swap.
+    out = run_corrupted_projection(SWAP_RETRACTION)
+    assert out == "projection checks failed: retraction_is_homomorphism\n"
 
 
 def test_sylow_exponent_reports(family1, family2):
