@@ -17,7 +17,7 @@ from agroups import (
     make_field,
     trivial_action,
 )
-from agroups.groups import FieldAddGroup
+from agroups.groups import _TABLE_LIMIT, FieldAddGroup
 
 from naive import naive_derived_ids
 
@@ -215,6 +215,15 @@ def test_trivial_and_whole_subgroups():
     assert S3.whole_subgroup().is_normal()
 
 
+def test_whole_subgroup_shares_the_pair_node_id_objects(family1):
+    # The whole group's ids are the pair node's own tuple, whose int objects
+    # the id table holds, so no second set of ints is allocated for them.
+    whole = family1.whole_subgroup()
+    assert whole.ids == tuple(range(family1.order))
+    assert whole.ids is family1._ids
+    assert all(whole.ids[i] is i for i in family1._id_of_code)
+
+
 def test_direct_product_center_and_orders():
     g = DirectProductGroup(S3, CyclicGroup(4))
     assert g.order == 24
@@ -302,6 +311,24 @@ def test_action_rejects_a_bijective_row_off_the_generator_products():
     rows[2] = [0, 2, 1, 3, 4]
     with pytest.raises(InvalidAction):
         Action(kernel, acting, rows)
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [FieldAddGroup(make_field(3, 5)), field_semidirect(3, 3, 13)],
+    ids=["GF(3^5)+", "h2"],
+)
+def test_action_law_catches_a_bijective_involution_above_the_table_limit(kernel):
+    # Swapping ids 1 and 2 fixes the identity and squares to the identity
+    # row, so shape, functoriality and bijectivity all hold; only the
+    # homomorphism law, checked on kernel columns, can catch it.
+    assert kernel.order > _TABLE_LIMIT
+    swap = list(range(kernel.order))
+    swap[1], swap[2] = 2, 1
+    rows = [list(range(kernel.order)), swap]
+    law = r"^row 1 fails the homomorphism law at generator \d+$"
+    with pytest.raises(InvalidAction, match=law):
+        Action(kernel, CyclicGroup(2), rows)
 
 
 def test_trivial_action_gives_direct_product_structure():
