@@ -11,15 +11,21 @@ where each cyclic factor acts on the written field by multiplication by
 a canonical unit of matching order, C_r rescales both field coordinates
 simultaneously, and the C_q and C_p coordinates ride along untouched.
 The resulting group has order p^(a+1) * q^(b+1) * r.
+
+The pieces are the built group g's tree nodes: g.left = H1 x H2,
+g.left.left = H1, g.left.right = H2 (each is field group : cyclic
+factor) and g.right = C_r.  The C_r rescale and the retraction onto
+C_q x C_p x C_r are field maps lifted to ids with pair_map.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from itertools import product
+from typing import Sequence
 
 from .errors import BadParams, NonPrime, NotFamilyGroup, SizeCapExceeded, WrongOrder
-from .fields import FieldSpec, element_of_order, make_field
+from .fields import element_of_order, make_field
 from .groups import (
     Action,
     CyclicGroup,
@@ -151,43 +157,13 @@ class FamilyParams:
         return f"{self.p},{self.q},{self.r},{self.a},{self.b}"
 
 
-@dataclass
-class FamilyParts:
-    """Component groups of a family construction, kept for coordinate access.
-
-    An inner id (an element of H1 x H2) has four coordinates (v1, c1, v2, c2):
-    the GF(p^a) vector id, the C_q residue, the GF(q^b) vector id and the
-    C_p residue.  A family element is an inner id paired with a C_r residue t.
-    """
-
-    field1: FieldSpec
-    field2: FieldSpec
-    add1: FieldAddGroup
-    add2: FieldAddGroup
-    cq: CyclicGroup
-    cp: CyclicGroup
-    cr: CyclicGroup
-    h1: SemidirectProductGroup
-    h2: SemidirectProductGroup
-    inner: DirectProductGroup
-
-    def inner_id(self, v1: int, c1: int, v2: int, c2: int) -> int:
-        return self.inner.id_of_pair(
-            self.h1.id_of_pair(v1, c1), self.h2.id_of_pair(v2, c2)
-        )
-
-    def coordinates(self, i: int) -> tuple[int, int, int, int]:
-        x, y = self.inner.pair_of(i)
-        return self.h1.pair_of(x) + self.h2.pair_of(y)
-
-
 def build_family_group(
     params: FamilyParams, cap: int = DEFAULT_ELEMENT_CAP
 ) -> SemidirectProductGroup:
     """Assemble the family group for validated parameters.
 
-    The returned group carries `family_params` and `family_parts`
-    attributes so coordinate-level reports can find the pieces.
+    The returned group carries a `family_params` attribute, which marks
+    it for the coordinate-level reports; its pieces are its tree nodes.
     """
     p, q, r, a, b = params.p, params.q, params.r, params.a, params.b
     # The cap comes before validate(), whose primality tests grow with the
@@ -201,77 +177,67 @@ def build_family_group(
     params.validate()
     h1 = field_semidirect(p, a, q, cap)
     h2 = field_semidirect(q, b, p, cap)
+    inner = DirectProductGroup(h1, h2, cap)
     cr = CyclicGroup(r, cap)
-    parts = FamilyParts(
-        field1=h1.left.field, field2=h2.left.field, add1=h1.left, add2=h2.left,
-        cq=h1.right, cp=h2.right, cr=cr, h1=h1, h2=h2,
-        inner=DirectProductGroup(h1, h2, cap),
-    )
-    rows1 = scalar_action(parts.add1, cr, element_of_order(parts.field1, r)).rows
-    rows2 = scalar_action(parts.add2, cr, element_of_order(parts.field2, r)).rows
-
-    def rescale(t: int, d: int) -> int:
-        v1, c1, v2, c2 = parts.coordinates(d)
-        return parts.inner_id(rows1[t][v1], c1, rows2[t][v2], c2)
-
-    group = SemidirectProductGroup(
-        parts.inner, cr, Action.tabulate(parts.inner, cr, rescale), cap
-    )
+    rows1 = scalar_action(h1.left, cr, element_of_order(h1.left.field, r)).rows
+    rows2 = scalar_action(h2.left, cr, element_of_order(h2.left.field, r)).rows
+    rows = [_lift_field_maps(inner, f1, f2) for f1, f2 in zip(rows1, rows2)]
+    group = SemidirectProductGroup(inner, cr, Action(inner, cr, rows), cap)
     group.family_params = params
-    group.family_parts = parts
     return group
 
 
-def _family_parts(group: FiniteGroup) -> FamilyParts:
-    parts = getattr(group, "family_parts", None)
-    if parts is None:
+def _lift_field_maps(
+    inner: DirectProductGroup, f1: Sequence[int], f2: Sequence[int]
+) -> list[int]:
+    """Inner id of (f1[v1], c1, f2[v2], c2) for each inner id (v1, c1, v2, c2)."""
+    h1, h2 = inner.left, inner.right
+    return inner.pair_map(
+        h1.pair_map(f1, range(h1.right.order)), h2.pair_map(f2, range(h2.right.order))
+    )
+
+
+def _family_params(group: FiniteGroup) -> FamilyParams:
+    params = getattr(group, "family_params", None)
+    if params is None:
         raise NotFamilyGroup("group was not built by the family constructor")
-    return parts
+    return params
 
 
-def _coordinate_ids(
-    group: SemidirectProductGroup, parts: FamilyParts, v1s, c1s, v2s, c2s, ts
-) -> tuple[int, ...]:
+def _coordinate_ids(group, v1s, c1s, v2s, c2s, ts) -> tuple[int, ...]:
     """Sorted ids of the elements with coordinates in the given ranges."""
-    return tuple(sorted(
-        group.id_of_pair(parts.inner_id(v1, c1, v2, c2), t)
-        for v1, c1, v2, c2, t in product(v1s, c1s, v2s, c2s, ts)
-    ))
+    inner = group.left
+    h1 = [inner.left.id_of_pair(v, c) for v, c in product(v1s, c1s)]
+    h2 = [inner.right.id_of_pair(v, c) for v, c in product(v2s, c2s)]
+    ds = [inner.id_of_pair(x, y) for x, y in product(h1, h2)]
+    return tuple(sorted(group.id_of_pair(d, t) for d, t in product(ds, ts)))
 
 
 def cr_coordinate_ids(group: SemidirectProductGroup) -> tuple[int, ...]:
     """Ids of the acting C_r coordinate inside a family group."""
-    parts = _family_parts(group)
-    return _coordinate_ids(group, parts, (0,), (0,), (0,), (0,), range(parts.cr.n))
+    fp = _family_params(group)
+    return _coordinate_ids(group, (0,), (0,), (0,), (0,), range(fp.r))
 
 
 def gamma_coordinate_ids(group: SemidirectProductGroup) -> tuple[int, ...]:
     """Ids of the C_q x C_p x C_r coordinate set (field parts zero)."""
-    parts = _family_parts(group)
-    return _coordinate_ids(
-        group, parts, (0,), range(parts.cq.n), (0,), range(parts.cp.n),
-        range(parts.cr.n),
-    )
+    fp = _family_params(group)
+    return _coordinate_ids(group, (0,), range(fp.q), (0,), range(fp.p), range(fp.r))
 
 
 def kernel_coordinate_ids(group: SemidirectProductGroup) -> tuple[int, ...]:
     """Ids of the field-coordinate set (both cyclic coordinates zero)."""
-    parts = _family_parts(group)
+    fp = _family_params(group)
     return _coordinate_ids(
-        group, parts, range(parts.add1.order), (0,), range(parts.add2.order),
-        (0,), (0,),
+        group, range(fp.p**fp.a), (0,), range(fp.q**fp.b), (0,), (0,)
     )
 
 
 def complement_retraction(group: SemidirectProductGroup) -> tuple[int, ...]:
     """Id of each element's complement part: both field coordinates zeroed."""
-    parts = _family_parts(group)
-    out = []
-    for i in range(group.order):
-        d, t = group.pair_of(i)
-        _, c1, _, c2 = parts.coordinates(d)
-        out.append(group.id_of_pair(parts.inner_id(0, c1, 0, c2), t))
-    return tuple(out)
+    fp = _family_params(group)
+    zero = _lift_field_maps(group.left, [0] * fp.p**fp.a, [0] * fp.q**fp.b)
+    return tuple(group.pair_map(zero, range(fp.r)))
 
 
 def cr_coordinate_subgroup(group: SemidirectProductGroup) -> Subgroup:

@@ -68,11 +68,11 @@ def test_family_orders(family1, family2):
 
 def test_family_metadata(family1):
     assert family1.family_params == FamilyParams(5, 2, 3, 2, 4)
-    parts = family1.family_parts
-    assert parts.h1.order == 50
-    assert parts.h2.order == 80
-    assert parts.inner.order == 4000
-    assert parts.cr.order == 3
+    inner = family1.left
+    assert inner.left.order == 50
+    assert inner.right.order == 80
+    assert inner.order == 4000
+    assert family1.right.order == 3
 
 
 def test_family_cap():
@@ -132,13 +132,12 @@ def test_power_action_allows_divisor_order():
 def test_h1_action_is_fixed_point_free(family1):
     # Nonidentity scalars fix only the zero vector, which is what makes
     # the field part the full centralizer boundary inside H1.
-    parts = family1.family_parts
-    action = power_action(
-        parts.add1, parts.cq, element_of_order(parts.field1, parts.cq.n)
-    )
-    for t in range(1, parts.cq.n):
+    h1 = family1.left.left
+    add1, cq = h1.left, h1.right
+    action = power_action(add1, cq, element_of_order(add1.field, cq.n))
+    for t in range(1, cq.n):
         row = action.rows[t]
-        assert [v for v in range(parts.add1.order) if row[v] == v] == [0]
+        assert [v for v in range(add1.order) if row[v] == v] == [0]
 
 
 def test_field_semidirect_shapes():

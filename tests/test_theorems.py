@@ -22,6 +22,7 @@ from agroups.numtheory import is_prime_power_of, p_part, prime_divisors
 from agroups.steinitz import class_meets_cycle_only_at_rep
 
 from naive import naive_element_order
+from test_columns import tree_nodes
 from test_oracle import CORPUS
 
 
@@ -86,14 +87,6 @@ def test_class_test_matches_scans_on_corpus():
     assert True in verdicts and False in verdicts
 
 
-def family_nodes(group):
-    parts = group.family_parts
-    return [
-        parts.add1, parts.add2, parts.cq, parts.cp, parts.cr,
-        parts.h1, parts.h2, parts.inner, group,
-    ]
-
-
 def assert_orders_match_powering(group):
     orders = group.element_orders()
     assert orders == [group.element_order(i) for i in range(group.order)]
@@ -101,7 +94,9 @@ def assert_orders_match_powering(group):
 
 
 def test_tree_orders_match_powering_on_family_nodes(family1):
-    for node in family_nodes(family1):
+    nodes = tree_nodes(family1)
+    assert len(nodes) == 9
+    for node in nodes:
         assert_orders_match_powering(node)
 
 
