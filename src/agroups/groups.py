@@ -8,8 +8,9 @@ id is the field element itself, its base-p code.  Pair ids are
 breadth-first discovery ranks over the Cayley graph, from the identity
 by right-multiplying with the generators in a fixed order; they depend
 on that graph and order alone, not on the children's labels (pair_of and
-id_of_pair translate).  Quotient ids follow the least coset
-representative in ascending order (rep and nat translate).
+id_of_pair translate); a direct pair derives them from its factors'.
+Quotient ids follow the least coset representative in ascending order
+(rep and nat translate).
 
 Each node's compose is one closure, bound in its constructor over that
 node's own tables (the children's compose, the pair tables, the action
@@ -33,6 +34,12 @@ Algorithm notes, since several follow less-travelled routes:
   product of generator rows, so only those must be automorphisms.  Each
   one's homomorphism law is checked at every kernel generator against
   every element, a proof since the elements obeying it form a subgroup.
+- Direct pairs are ranked by theorem, not searched: BFS over ordered
+  generators ranks each element by the ShortLex order of its lex-least
+  geodesic word (Epstein et al., Word Processing in Groups, 1992, ch. 2).
+  In L x R, L's generators come first, so that word is w_L(l)·w_R(r):
+  pairs come by total distance, then by l in the post-order of L's BFS
+  tree (a prefix last: its next letter is R's), then by r's BFS rank.
 - Classes, centralizers, the action law and the pair BFS read columns
   [x·s] and [s·x] over all x, looked up from the children's columns.  In
   a semidirect pair l·φ_r(ls) = φ_r(φ_r⁻¹(l)·ls): one kernel column, of
@@ -158,18 +165,6 @@ class Action:
         self.rows = rows
         self._verify()
 
-    @classmethod
-    def tabulate(
-        cls,
-        kernel: "FiniteGroup",
-        acting: "FiniteGroup",
-        fn: Callable[[int, int], int],
-    ) -> "Action":
-        """Evaluate fn(acting-id, kernel-id) over the full grid and verify."""
-        nk = kernel.order
-        rows = [[fn(g, h) for h in range(nk)] for g in range(acting.order)]
-        return cls(kernel, acting, rows)
-
     def apply(self, g: int, h: int) -> int:
         return self.rows[g][h]
 
@@ -263,6 +258,32 @@ class FiniteGroup:
             self.compose = lambda i, j: tab[i][j]
 
     # -- enumeration helpers ---------------------------------------------
+
+    def _shortlex(self) -> tuple[list[list[int]], list[int]]:
+        """BFS over self.gens: ids by distance in discovery order, and the
+        search tree in post-order (children in generator order)."""
+        cols = [self.right_column(g) for g in self.gens]
+        kids: list[list[int]] = [[] for _ in range(self.order)]
+        seen = bytearray(self.order)
+        seen[0] = 1
+        layers = [[0]]
+        for layer in layers:
+            nxt = []
+            for x in layer:
+                for col in cols:
+                    y = col[x]
+                    if not seen[y]:
+                        seen[y] = 1
+                        nxt.append(y)
+                        kids[x].append(y)
+            if nxt:
+                layers.append(nxt)
+        post, stack = [], [0]
+        while stack:  # pre-order with reversed children, read backwards
+            x = stack.pop()
+            post.append(x)
+            stack += kids[x]
+        return layers, post[::-1]
 
     def element_order(self, i: int) -> int:
         comp = self.compose
@@ -513,6 +534,8 @@ class FiniteGroup:
             a = items[i]
             for j in range(i):
                 b = items[j]
+                if self.order in (a.order, b.order):  # never build G's idset
+                    continue
                 if a.idset <= b.idset or b.idset <= a.idset:
                     continue
                 # The join of normal A, B is AB, of order |A||B|/|A∩B|: past
@@ -647,50 +670,26 @@ class _PairGroup(FiniteGroup):
         self._check_cap(predicted)
         self.order = predicted
         self._nr = right.order
+        self._ids = tuple(range(predicted))
 
-    def _bfs(self, rows: list | None = None, rinv: list | None = None) -> tuple:
-        """Enumerate by breadth-first right-multiplication by generators.
-
-        States are (left-id, right-id) pairs packed as left*|R| + right.
-        The packed code only dedupes states, so the discovery ranks
-        depend on the Cayley graph and the generator order alone, not
-        on how the children label their elements.  Steps read children's
-        columns.  Stores and returns the tables l_of, r_of and id_of_code.
-        """
-        nr = self._nr
-        lcols = [self.left.right_column(gl) for gl in self.left.gens]
-        rcols = [self.right.right_column(gr) for gr in self.right.gens]
-        ids = self._ids = tuple(range(self.order))
-        id_of_code = [-1] * self.order
-        id_of_code[0] = 0
-        l_of = [0]
-        r_of = [0]
-        for l1, r1 in zip(l_of, r_of):
-            if rows is None:
-                steps = [(col[l1], r1) for col in lcols]
-            else:
-                row, lr = rows[r1], rinv[r1][l1]
-                steps = [(row[col[lr]], r1) for col in lcols]
-            steps += [(l1, col[r1]) for col in rcols]
-            for l, r in steps:
-                code = l * nr + r
-                if id_of_code[code] < 0:
-                    id_of_code[code] = ids[len(l_of)]
-                    l_of.append(l)
-                    r_of.append(r)
+    def _store(self, l_of: list[int], r_of: list[int]) -> tuple:
+        """Index a complete enumeration; being complete, it is _whole."""
         if len(l_of) != self.order:
             raise GeneratorsDoNotGenerate(
                 f"pair generators reached {len(l_of)} of {self.order} elements"
             )
-        self._l_of = l_of
-        self._r_of = r_of
-        self._id_of_code = id_of_code
+        nr = self._nr
+        id_of_code = [-1] * self.order
+        for i, l, r in zip(self._ids, l_of, r_of):
+            id_of_code[l * nr + r] = i
+        self._l_of, self._r_of, self._id_of_code = l_of, r_of, id_of_code
         self.gens = tuple(
             dict.fromkeys(
                 [id_of_code[gl * nr] for gl in self.left.gens]
                 + [id_of_code[gr] for gr in self.right.gens]
             )
         )
+        self._whole = Subgroup(self, self._ids, self.gens)
         return l_of, r_of, id_of_code
 
     def pair_of(self, i: int) -> tuple[int, int]:
@@ -712,7 +711,19 @@ class DirectProductGroup(_PairGroup):
         self, left: FiniteGroup, right: FiniteGroup, cap: int = DEFAULT_ELEMENT_CAP
     ):
         super().__init__(left, right, cap)
-        l_of, r_of, id_of_code = self._bfs()
+        # The BFS ranks of L x R from the factors' searches (module notes).
+        llayers, lpost = left._shortlex()
+        rlayers, _ = right._shortlex()
+        dl = {l: d for d, layer in enumerate(llayers) for l in layer}
+        by_total: list[list] = [[] for _ in range(len(llayers) + len(rlayers) - 1)]
+        for l in lpost:
+            for k, layer in enumerate(rlayers):
+                by_total[dl[l] + k].append((l, layer))
+        l_of, r_of = [], []
+        for l, layer in (pair for same_total in by_total for pair in same_total):
+            l_of += [l] * len(layer)
+            r_of += layer
+        l_of, r_of, id_of_code = self._store(l_of, r_of)
         lcomp, rcomp, nr = left.compose, right.compose, self._nr
         self.compose = lambda i, j: id_of_code[
             lcomp(l_of[i], l_of[j]) * nr + rcomp(r_of[i], r_of[j])
@@ -757,12 +768,40 @@ class SemidirectProductGroup(_PairGroup):
         self.action = action
         rows = action.rows
         self._rinv = [rows[acting.invert(r)] for r in range(acting.order)]
-        l_of, r_of, id_of_code = self._bfs(rows, self._rinv)
+        l_of, r_of, id_of_code = self._bfs()
         lcomp, rcomp, nr = kernel.compose, acting.compose, self._nr
         self.compose = lambda i, j: id_of_code[
             lcomp(l_of[i], rows[r_of[i]][l_of[j]]) * nr + rcomp(r_of[i], r_of[j])
         ]
         self._finish()
+
+    def _bfs(self) -> tuple:
+        """Enumerate by breadth-first right-multiplication by generators.
+
+        States are (left-id, right-id) pairs packed as left*|R| + right.
+        The packed code only dedupes states, so the discovery ranks
+        depend on the Cayley graph and the generator order alone, not
+        on how the children label their elements.  Steps read children's
+        columns.
+        """
+        nr, rows, rinv = self._nr, self.action.rows, self._rinv
+        lcols = [self.left.right_column(gl) for gl in self.left.gens]
+        rcols = [self.right.right_column(gr) for gr in self.right.gens]
+        seen = bytearray(self.order)
+        seen[0] = 1
+        l_of = [0]
+        r_of = [0]
+        for l1, r1 in zip(l_of, r_of):
+            row, lr = rows[r1], rinv[r1][l1]
+            steps = [(row[col[lr]], r1) for col in lcols]
+            steps += [(l1, col[r1]) for col in rcols]
+            for l, r in steps:
+                code = l * nr + r
+                if not seen[code]:
+                    seen[code] = 1
+                    l_of.append(l)
+                    r_of.append(r)
+        return self._store(l_of, r_of)
 
     def invert(self, i: int) -> int:
         r = self.right.invert(self._r_of[i])

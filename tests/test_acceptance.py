@@ -73,7 +73,8 @@ def heisenberg27():
         x, y = base.pair_of(d)
         return base.id_of_pair((x + t * y) % 3, y)
 
-    return SemidirectProductGroup(base, top, Action.tabulate(base, top, shear))
+    rows = [[shear(t, d) for d in range(9)] for t in range(3)]
+    return SemidirectProductGroup(base, top, Action(base, top, rows))
 
 
 def test_criterion_1_fixture_construction(capsys):

@@ -36,7 +36,8 @@ def heisenberg27():
         x, y = kernel.pair_of(d)
         return kernel.id_of_pair((x + t * y) % 3, y)
 
-    return SemidirectProductGroup(kernel, acting, Action.tabulate(kernel, acting, shear))
+    rows = [[shear(t, d) for d in range(9)] for t in range(3)]
+    return SemidirectProductGroup(kernel, acting, Action(kernel, acting, rows))
 
 
 def c3_c4():

@@ -285,7 +285,7 @@ def test_action_verification_rejects_non_automorphism():
     kernel = CyclicGroup(4)
     acting = CyclicGroup(2)
     with pytest.raises(InvalidAction):
-        Action.tabulate(kernel, acting, lambda t, d: (d + t) % 4)
+        Action(kernel, acting, [[(d + t) % 4 for d in range(4)] for t in range(2)])
     with pytest.raises(InvalidAction):
         rows = [[0, 1, 2, 3], [0, 0, 0, 0]]
         Action(kernel, acting, rows)
@@ -297,9 +297,8 @@ def test_action_must_respect_acting_composition():
     # t -> multiplication by 2^t is a homomorphism only if 2^4 = 1 mod 5,
     # which holds; truncating to 2^min(t,1) breaks it.
     with pytest.raises(InvalidAction):
-        Action.tabulate(
-            kernel, acting, lambda t, d: (d * pow(2, min(t, 1), 5)) % 5
-        )
+        rows = [[d * pow(2, min(t, 1), 5) % 5 for d in range(5)] for t in range(4)]
+        Action(kernel, acting, rows)
 
 
 def test_action_rejects_a_bijective_row_off_the_generator_products():
