@@ -1,10 +1,10 @@
 """Record the benchmark of a change against its parent into one JSON file.
 
-    python3 bench/record.py --parent REV --out BENCH_N.json [--runs K] [--seconds S]
+    python3 bench/record.py --parent REV --out BENCH_N.json
 
-Runs the unchanged `perfbench/run.py --trace 0` for S seconds (default
-20) on each of its workloads for both sides, the parent commit REV and
-the change, K times each (default 3, at least 3).  The sides alternate
+Runs the unchanged `perfbench/run.py --trace 0` on each workload that
+BENCHMARK.json declares, for the run length it declares, on both sides,
+the parent commit REV and the change, RUNS times each.  The sides alternate
 (parent first on even runs, change first on odd ones), and every run of
 a side works in a fresh copy: `git archive REV` for the parent, and for
 the change the tracked and untracked-but-not-ignored files of the
@@ -29,7 +29,7 @@ import tempfile
 from pathlib import Path
 
 TOP = Path(__file__).resolve().parent.parent
-WORKLOADS = ("verify-f2", "decompose-62208", "search-3e5")
+RUNS = 10  # pairs of runs, the fewest from which a gain can be claimed
 
 
 def git(*args: str) -> str:
@@ -72,22 +72,24 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
-def record(args: argparse.Namespace) -> dict:
-    sides = {"parent": args.parent, "change": None}
-    seeds = [k + 1 for k in range(args.runs)]
-    got: dict = {w: {"parent": [], "change": []} for w in WORKLOADS}
+def record(parent: str) -> dict:
+    declared = json.loads((TOP / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = declared["run_seconds"]
+    names = [w["name"] for w in declared["workloads"]]
+    sides = {"parent": parent, "change": None}
+    seeds = [k + 1 for k in range(RUNS)]
+    got: dict = {w: {"parent": [], "change": []} for w in names}
     with tempfile.TemporaryDirectory() as tmp:
         for k, seed in enumerate(seeds):
             for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
                 root = Path(tmp) / f"{side}-{k}"
                 fresh_copy(sides[side], root)
-                for w in WORKLOADS:
-                    result = perfbench(root, w, seed, args.seconds)
+                for w in names:
+                    result = perfbench(root, w, seed, seconds)
                     got[w][side].append(result)
                     print(f"run {k} {side} {w}: correct={result['correct']}",
                           file=sys.stderr, flush=True)
                 shutil.rmtree(root)
-    declared = json.loads((TOP / "BENCHMARK.json").read_text(encoding="utf-8"))
     higher = {m["name"]: m["better"] == "higher" for m in declared["end_to_end"]}
     workloads = {}
     for w, by_side in got.items():
@@ -99,17 +101,19 @@ def record(args: argparse.Namespace) -> dict:
             base = row["parent"]["median"]
             row["change_over_parent"] = row["change"]["median"] / base if base else None
             pairs = zip(row["parent"]["values"], row["change"]["values"])
-            row["change_better_in"] = sum(c > p if higher[name] else c < p for p, c in pairs)
+            row["change_better_in"] = sum(
+                c > p if higher[name] else c < p for p, c in pairs
+            )
             metrics[name] = row
         workloads[w] = {
             "correct": {s: all(r["correct"] for r in rs) for s, rs in by_side.items()},
             "metrics": metrics,
         }
     return {
-        "parent": git("rev-parse", args.parent).strip(),
+        "parent": git("rev-parse", parent).strip(),
         "change": "working tree on " + git("rev-parse", "HEAD").strip(),
-        "runs_per_side": args.runs,
-        "seconds": args.seconds,
+        "runs_per_side": RUNS,
+        "seconds": seconds,
         "seeds": seeds,
         "nproc": len(os.sched_getaffinity(0)),
         "python": platform.python_version(),
@@ -121,14 +125,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, metavar="REV")
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--runs", type=int, default=3)
-    parser.add_argument("--seconds", type=int, default=20)
     args = parser.parse_args(argv)
-    if args.runs < 3:
-        parser.error("--runs must be at least 3")
-    if args.seconds < 1:
-        parser.error("--seconds must be at least 1")
-    args.out.write_text(json.dumps(record(args), indent=1) + "\n", encoding="utf-8")
+    out = json.dumps(record(args.parent), indent=1) + "\n"
+    args.out.write_text(out, encoding="utf-8")
     return 0
 
 

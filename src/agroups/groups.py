@@ -259,21 +259,21 @@ class FiniteGroup:
 
     # -- enumeration helpers ---------------------------------------------
 
-    def _shortlex(self) -> tuple[list[list[int]], list[int]]:
-        """BFS over self.gens: ids by distance in discovery order, and the
-        search tree in post-order (children in generator order)."""
+    def _shortlex(self) -> tuple[list[list[int]], list[int], list[int]]:
+        """BFS over self.gens: ids by distance in discovery order, the search
+        tree in post-order (children in generator order), each id's distance."""
         cols = [self.right_column(g) for g in self.gens]
         kids: list[list[int]] = [[] for _ in range(self.order)]
-        seen = bytearray(self.order)
-        seen[0] = 1
+        dist = [-1] * self.order
+        dist[0] = 0
         layers = [[0]]
         for layer in layers:
             nxt = []
             for x in layer:
                 for col in cols:
                     y = col[x]
-                    if not seen[y]:
-                        seen[y] = 1
+                    if dist[y] < 0:
+                        dist[y] = len(layers)
                         nxt.append(y)
                         kids[x].append(y)
             if nxt:
@@ -283,7 +283,7 @@ class FiniteGroup:
             x = stack.pop()
             post.append(x)
             stack += kids[x]
-        return layers, post[::-1]
+        return layers, post[::-1], dist
 
     def element_order(self, i: int) -> int:
         comp = self.compose
@@ -712,17 +712,18 @@ class DirectProductGroup(_PairGroup):
     ):
         super().__init__(left, right, cap)
         # The BFS ranks of L x R from the factors' searches (module notes).
-        llayers, lpost = left._shortlex()
-        rlayers, _ = right._shortlex()
-        dl = {l: d for d, layer in enumerate(llayers) for l in layer}
-        by_total: list[list] = [[] for _ in range(len(llayers) + len(rlayers) - 1)]
+        _, lpost, dl = left._shortlex()
+        rlayers, _, _ = right._shortlex()
+        by_total: list[list[int]] = [[] for _ in range(max(dl) + len(rlayers))]
         for l in lpost:
-            for k, layer in enumerate(rlayers):
-                by_total[dl[l] + k].append((l, layer))
+            for k in range(len(rlayers)):
+                by_total[dl[l] + k].append(l)
         l_of, r_of = [], []
-        for l, layer in (pair for same_total in by_total for pair in same_total):
-            l_of += [l] * len(layer)
-            r_of += layer
+        for total, same_total in enumerate(by_total):
+            for l in same_total:
+                layer = rlayers[total - dl[l]]
+                l_of += [l] * len(layer)
+                r_of += layer
         l_of, r_of, id_of_code = self._store(l_of, r_of)
         lcomp, rcomp, nr = left.compose, right.compose, self._nr
         self.compose = lambda i, j: id_of_code[
