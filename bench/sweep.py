@@ -1,14 +1,16 @@
 """Time `verify --json` on every family member the search lists.
 
-    python3 bench/sweep.py [--max-order N]
+    python3 bench/sweep.py [--max-order N] [--check FILE]
 
 Lists the members with `agroups search --max-order N --json` (default
 100000), then runs `agroups verify P --json` for each member in a fresh
 process and records its wall time, its peak RSS (read from os.wait4,
 which reports that child alone), its exit code and the sha256 of its
 stdout.  Prints one JSON document with a row per member and the totals.
-The agroups imported is the one under this checkout's `src`.  Stdlib
-only.
+With --check FILE, a document this script printed before, it also
+compares each member's exit code and stdout sha256 with FILE's and
+exits 1 when one differs or FILE does not list the member.  The agroups
+imported is the one under this checkout's `src`.  Stdlib only.
 """
 from __future__ import annotations
 
@@ -80,9 +82,25 @@ def sweep(max_order: int) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--max-order", type=int, default=100000, metavar="N")
+    parser.add_argument("--check", type=Path, metavar="FILE")
     args = parser.parse_args(argv)
-    print(json.dumps(sweep(args.max_order), indent=2))
-    return 0
+    doc = sweep(args.max_order)
+    print(json.dumps(doc, indent=2))
+    if args.check is None:
+        return 0
+    recorded = {
+        m["params"]: (m["exit_code"], m["stdout_sha256"])
+        for m in json.loads(args.check.read_text())["members"]
+    }
+    bad = [
+        m["params"]
+        for m in doc["members"]
+        if recorded.get(m["params"]) != (m["exit_code"], m["stdout_sha256"])
+    ]
+    for params in bad:
+        print(f"{params}: exit code or stdout differs from {args.check}",
+              file=sys.stderr)
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":

@@ -11,7 +11,11 @@ Three layers live here:
   (3) direct products of members.  Rule 2 descends to the quotient by
   the kernel: a normal Hall subgroup always splits off a complement
   isomorphic to that quotient, and membership is treated as an
-  isomorphism invariant.
+  isomorphism invariant.  Rule 3 reads direct factors off the normal
+  lattice, built only when certified_indecomposable has no answer: a
+  solvable G is indecomposable when J = <C_G(M) : M minimal normal> is
+  not G, each C_G(M) being the union of the classes whose least member
+  commutes with M's generators.
 - two_prime_decompose: for a group with at most two prime divisors and
   all Sylow subgroups abelian, constructs the pair of normal subgroups
   K_p, K_q with G = K_p x K_q, each an extension of an abelian Sylow by
@@ -21,6 +25,7 @@ Three layers live here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .errors import (
     DecompositionInvariantFailed,
@@ -28,7 +33,7 @@ from .errors import (
     TooManyPrimes,
 )
 from .groups import FiniteGroup, Subgroup
-from .numtheory import p_part, prime_divisors, prime_factors
+from .numtheory import is_prime, p_part, prime_divisors, prime_factors
 
 
 @dataclass(frozen=True)
@@ -98,16 +103,8 @@ def normal_hall(group: FiniteGroup, pi: frozenset[int] | set[int]) -> Subgroup |
     """
     pi = frozenset(pi)
     orders = group.element_orders()
-    support: dict[int, bool] = {}
-
-    def inside(o: int) -> bool:
-        got = support.get(o)
-        if got is None:
-            got = all(ell in pi for ell in prime_divisors(o))
-            support[o] = got
-        return got
-
-    ids = [i for i in range(group.order) if inside(orders[i])]
+    inside = {o for o in set(orders) if pi.issuperset(prime_divisors(o))}
+    ids = [i for i, o in enumerate(orders) if o in inside]
     target = 1
     for ell in pi:
         target *= p_part(group.order, ell)
@@ -119,12 +116,62 @@ def normal_hall(group: FiniteGroup, pi: frozenset[int] | set[int]) -> Subgroup |
     return sub
 
 
+def certified_indecomposable(group: FiniteGroup) -> bool:
+    """Whether G is solvable and J = <C_G(M) : M minimal normal> is not G.
+
+    Then G is directly indecomposable.  Let G = A x B with A, B != 1.  If
+    Z(G) != 1, a central subgroup of prime order is minimal normal with
+    centralizer G, so J = G.  If Z(G) = 1, a minimal normal M meets A and
+    B in normal subgroups, each 1 or M, and not both 1: then [M, A] =
+    [M, B] = 1 and M <= Z(G).  So M lies in one factor and the other
+    centralizes it; A and B each hold a minimal normal subgroup, so
+    G = AB <= J.  The test for a central class is only a cheap way out.
+
+    In a solvable group a minimal normal M is elementary abelian, so M =
+    <x^G> for each x != 1 in M, of prime order and commuting with its
+    class.  Conversely, for such an x the conjugates commute pairwise
+    (conjugating x^g, x^h by g^-1 gives x and a conjugate of x), so
+    N = <x^G> is elementary abelian, and it holds a minimal normal M with
+    C_G(N) <= C_G(M): closing all such classes yields J.  C_G(N) is
+    normal, the union of the classes whose least member commutes with
+    N's generators.  Two such unions A, B join to |A||B| / |A ∩ B|
+    elements; three or more need a closure.  False means no answer.
+    """
+    classes = group.conjugacy_classes()
+    if any(len(c) == 1 for c in classes[1:]) or group.derived_series()[-1].order > 1:
+        return False
+    comp, orders = group.compose, group.element_orders()
+
+    def commutes(x: int, ys: Iterable[int]) -> bool:
+        return all(comp(x, y) == comp(y, x) for y in ys)
+
+    def size(ks: frozenset[int]) -> int:
+        return sum(len(classes[k]) for k in ks)
+
+    closed = (group.closure(c) for c in classes[1:]
+              if is_prime(orders[c[0]]) and commutes(c[0], c))
+    normals = {n.ids: n.gens for n in closed}
+    cents = list({
+        frozenset(k for k, c in enumerate(classes) if commutes(c[0], gens))
+        for gens in normals.values()
+    })
+    if len(cents) in (1, 2):
+        a, b = cents[0], cents[-1]
+        join = size(a) * size(b) // size(a & b)
+    else:
+        join = group.closure(x for k in set().union(*cents) for x in classes[k]).order
+    return join < group.order
+
+
 def direct_factor_pairs(group: FiniteGroup) -> list[tuple[Subgroup, Subgroup]]:
     """Unordered pairs of proper normal subgroups exhibiting G = N1 x N2.
 
     Trivial intersection makes the two factors commute elementwise, so
-    matching orders are enough to force an internal direct product.
+    matching orders are enough to force an internal direct product.  The
+    lattice is built only where certified_indecomposable has no answer.
     """
+    if certified_indecomposable(group):
+        return []
     normals = group.normal_subgroups()
     pairs = []
     for i, n1 in enumerate(normals):

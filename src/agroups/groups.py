@@ -253,8 +253,7 @@ class FiniteGroup:
     def _finish(self) -> None:
         """Swap the compose closure for a dense table; call at the end of __init__."""
         if self.order <= _TABLE_LIMIT:
-            base = self.compose
-            tab = [[base(i, j) for j in range(self.order)] for i in range(self.order)]
+            tab = [self.left_column(i) for i in range(self.order)]
             self.compose = lambda i, j: tab[i][j]
 
     # -- enumeration helpers ---------------------------------------------
@@ -579,20 +578,13 @@ class FiniteGroup:
         if target == 1:
             raise PrimeDoesNotDivide(f"{ell} does not divide {self.order}")
         orders = self.element_orders()
-        best = 0
-        seed = -1
-        for i, o in enumerate(orders):
-            if o > best and is_prime_power_of(o, ell):
-                best = o
-                seed = i
-        p = self.closure((seed,))
+        powers = {o for o in set(orders) if is_prime_power_of(o, ell)}
+        p = self.closure((orders.index(max(powers)),))
         while p.order < target:
             inside = p.idset
             ext = -1
-            for y in range(self.order):
-                if y in inside or not is_prime_power_of(orders[y], ell):
-                    continue
-                if self.normalizes(y, p):
+            for y, o in enumerate(orders):
+                if o in powers and y not in inside and self.normalizes(y, p):
                     ext = y
                     break
             if ext < 0:

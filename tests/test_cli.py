@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agroups import cli, constructions, groups, steinitz
+from agroups import classify, cli, constructions, groups, steinitz
 from agroups.cli import main, parse_group_spec
 from agroups.errors import BadParams, LatticeCapExceeded
 from agroups.groups import DEFAULT_ELEMENT_CAP, CyclicGroup
@@ -176,6 +176,12 @@ def test_lattice_cap_is_exit_3(capsys, monkeypatch):
     monkeypatch.setattr(groups, "LATTICE_CAP", 2)
     with pytest.raises(LatticeCapExceeded):
         CyclicGroup(6).normal_subgroups()
+    # The certificate settles rule 3 for family members: no lattice, no cap.
+    assert main(["verify", "5,2,3,2,4", "--json"]) == 0
+    golden = Path(__file__).parent / "golden" / "verify_5_2_3_2_4.json"
+    assert capsys.readouterr().out == golden.read_text()
+    # Without an answer from it, verify builds the lattice and hits the cap.
+    monkeypatch.setattr(classify, "certified_indecomposable", lambda g: False)
     assert main(["verify", "5,2,3,2,4"]) == 3
     assert capsys.readouterr().err == "error: normal lattice exceeds 2 subgroups\n"
 

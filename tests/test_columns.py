@@ -5,16 +5,26 @@ every node type: leaves (tabled and not), quotients, and direct and
 semidirect pairs, including a semidirect pair above the table limit,
 where the kernel side is read as φ_r(φ_r⁻¹(l)·ls).  Conjugacy classes and
 centralizers, which read columns, are compared with the per-element
-compose scans they replaced, kept here as references.
+compose scans they replaced, kept here as references.  Dense tables,
+filled from left columns, are compared with the constructor's compose.
 """
 import random
 
 import pytest
 
-from agroups import CyclicGroup, cr_coordinate_subgroup, field_semidirect, make_field
+from agroups import (
+    CyclicGroup,
+    cr_coordinate_subgroup,
+    field_semidirect,
+    groups,
+    make_field,
+)
+from agroups.cli import parse_group_spec
 from agroups.groups import _TABLE_LIMIT, FieldAddGroup, QuotientGroup, _PairGroup
 
+from test_golden import ORDER_4000_SPEC
 from test_oracle import CORPUS
+from test_workloads import WORKLOADS
 
 
 def tree_nodes(group):
@@ -115,3 +125,23 @@ def test_family_classes_and_centralizer_match_compose_scans(family1):
     assert family1.conjugacy_classes() == compose_classes(family1)
     sub = cr_coordinate_subgroup(family1)
     assert family1.centralizer(sub).ids == compose_centralizer_ids(family1, sub.gens)
+
+
+@pytest.mark.parametrize(
+    "text", [WORKLOADS["decompose-62208"].argv[1], ORDER_4000_SPEC, "5,2,3,2,4"]
+)
+def test_tables_match_the_untabled_compose(text, monkeypatch):
+    tabled = parse_group_spec(text, 10**5)
+    monkeypatch.setattr(groups, "_TABLE_LIMIT", 0)
+    plain = parse_group_spec(text, 10**5)
+    nodes = [
+        (a, b)
+        for a, b in zip(tree_nodes(tabled), tree_nodes(plain))
+        if a.order <= _TABLE_LIMIT
+    ]
+    assert nodes
+    for a, b in nodes:
+        ids = range(a.order)
+        assert [[a.compose(i, j) for j in ids] for i in ids] == [
+            [b.compose(i, j) for j in ids] for i in ids
+        ]
